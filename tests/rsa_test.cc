@@ -125,6 +125,26 @@ TEST(RsaTest, PaperKeySize1024) {
   EXPECT_FALSE(RsaVerify(k.pub, msg, sig));
 }
 
+TEST(RsaTest, KnownAnswer1024) {
+  // Key generation and PKCS#1 v1.5 signing are deterministic functions of
+  // the DRBG seed and the message, so any change to the arithmetic under
+  // them must reproduce these bytes exactly.
+  HmacDrbg drbg(B("rsa-known-answer-1024"));
+  RsaKeyPair k = RsaGenerateKeyPair(1024, [&] { return drbg.NextU32(); }).value();
+  EXPECT_EQ(k.pub.n.ToHex(),
+            "c003235063ab86985b03c7d2b0f4fb9353e7cff881d8bf2ef62f5fa4c37c8c78"
+            "e9b82152dcbe90820dabbc1cdafff20e2a5fee6b2b30bc0491984e99758053d0"
+            "397a3f3ff892ce6e156d161249109d5afa230cec6deb9400bf3f2df6dfcdaf35"
+            "673295b6cdec79d90389719528d829bd58402d0d5c3de5548bdbb276dfe42929");
+  Bytes sig = RsaSign(k, B("SecureBlox sealed batch")).value();
+  EXPECT_EQ(ToHex(sig),
+            "56305133ddfba6e98b71bf0c0ed00516735cb7ccf35df3fb137c58e1b3b0f35e"
+            "b56fd32d517fa16d70c2319895f7ac7b77fe5415f911225c18d7b4d9c216e93a"
+            "5306ba92f30dedb12c989c4e7642a579621399f8b8ef591537b433239d3da536"
+            "ffd73c35ccca0b1143cb974ac00874d46de9e7619ff20f5623f4e53bef88347a");
+  EXPECT_TRUE(RsaVerify(k.pub, B("SecureBlox sealed batch"), sig));
+}
+
 TEST(RsaTest, RejectsBadKeySizeRequests) {
   HmacDrbg drbg(B("seed"));
   EXPECT_FALSE(RsaGenerateKeyPair(64, [&] { return drbg.NextU32(); }).ok());
