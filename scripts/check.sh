@@ -28,6 +28,15 @@ if [ -x "$build/micro_engine" ]; then
       --benchmark_out_format=json
   echo "wrote $build/BENCH_fixpoint.json"
 fi
+# Crypto trajectory: RSA sign/verify/keygen and AES-CTR seal costs,
+# recorded only (no gate: single-run timings on a shared host are noisy).
+if [ -x "$build/micro_crypto" ]; then
+  "$build/micro_crypto" --benchmark_filter='Rsa|AesCtr' \
+      --benchmark_min_time=0.05 \
+      --benchmark_out="$build/BENCH_crypto.json" \
+      --benchmark_out_format=json
+  echo "wrote $build/BENCH_crypto.json"
+fi
 # Sharded-storage determinism smoke: the storage/fixpoint suites at a
 # prime shard count (SB_SHARDS routes every relation through the
 # hash-partitioned layout; results must be byte-identical).

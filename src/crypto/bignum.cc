@@ -1,5 +1,6 @@
 #include "crypto/bignum.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -301,154 +302,15 @@ uint32_t BigNum::ModU32(const BigNum& a, uint32_t m) {
   return static_cast<uint32_t>(rem);
 }
 
-namespace {
-
-// Montgomery arithmetic modulo an odd n (word base 2^32).
-// Represents x as xR mod n with R = 2^(32*k); multiplication uses the
-// CIOS reduction, avoiding per-step long division.
-class Montgomery {
- public:
-  explicit Montgomery(const BigNum& n) : n_(n.limbs()), k_(n.limbs().size()) {
-    // n0inv = -n^-1 mod 2^32 via Newton iteration.
-    uint32_t x = 1;
-    for (int i = 0; i < 5; ++i) {
-      x *= 2 - n_[0] * x;
-    }
-    n0inv_ = ~x + 1;  // negate mod 2^32
-    // R^2 mod n, computed by repeated doubling (2*32*k doublings of 1).
-    BigNum r2 = BigNum::FromU64(1);
-    for (size_t i = 0; i < 64 * k_; ++i) {
-      r2 = BigNum::Add(r2, r2);
-      if (BigNum::Cmp(r2, n) >= 0) r2 = BigNum::Sub(r2, n);
-    }
-    r2_ = ToWords(r2);
-  }
-
-  std::vector<uint32_t> ToWords(const BigNum& v) const {
-    std::vector<uint32_t> out = v.limbs();
-    out.resize(k_, 0);
-    return out;
-  }
-
-  // Montgomery product: a * b * R^-1 mod n (CIOS).
-  std::vector<uint32_t> Mul(const std::vector<uint32_t>& a,
-                            const std::vector<uint32_t>& b) const {
-    std::vector<uint32_t> t(k_ + 2, 0);
-    for (size_t i = 0; i < k_; ++i) {
-      // t += a[i] * b
-      uint64_t carry = 0;
-      uint64_t ai = a[i];
-      for (size_t j = 0; j < k_; ++j) {
-        uint64_t cur = t[j] + ai * b[j] + carry;
-        t[j] = static_cast<uint32_t>(cur);
-        carry = cur >> 32;
-      }
-      uint64_t cur = t[k_] + carry;
-      t[k_] = static_cast<uint32_t>(cur);
-      t[k_ + 1] += static_cast<uint32_t>(cur >> 32);
-
-      // m = t[0] * n0inv mod 2^32; t += m * n; t >>= 32
-      uint32_t m = t[0] * n0inv_;
-      carry = 0;
-      uint64_t m64 = m;
-      uint64_t first = t[0] + m64 * n_[0];
-      carry = first >> 32;
-      for (size_t j = 1; j < k_; ++j) {
-        uint64_t c2 = t[j] + m64 * n_[j] + carry;
-        t[j - 1] = static_cast<uint32_t>(c2);
-        carry = c2 >> 32;
-      }
-      uint64_t c3 = t[k_] + carry;
-      t[k_ - 1] = static_cast<uint32_t>(c3);
-      uint64_t c4 = t[k_ + 1] + (c3 >> 32);
-      t[k_] = static_cast<uint32_t>(c4);
-      t[k_ + 1] = static_cast<uint32_t>(c4 >> 32);
-    }
-    t.resize(k_ + 1);
-    // Conditional subtraction to bring into [0, n).
-    if (GeModulus(t)) SubModulus(&t);
-    t.resize(k_);
-    return t;
-  }
-
-  std::vector<uint32_t> ToMont(const std::vector<uint32_t>& a) const {
-    return Mul(a, r2_);
-  }
-  std::vector<uint32_t> One() const {
-    std::vector<uint32_t> one(k_, 0);
-    one[0] = 1;
-    return ToMont(one);
-  }
-  // Convert out of Montgomery form: x * R^-1 mod n.
-  std::vector<uint32_t> FromMont(const std::vector<uint32_t>& a) const {
-    std::vector<uint32_t> one(k_, 0);
-    one[0] = 1;
-    return Mul(a, one);
-  }
-
- private:
-  bool GeModulus(const std::vector<uint32_t>& t) const {
-    if (t.size() > k_ && t[k_] != 0) return true;
-    for (size_t i = k_; i-- > 0;) {
-      if (t[i] != n_[i]) return t[i] > n_[i];
-    }
-    return true;  // equal counts as >=
-  }
-  void SubModulus(std::vector<uint32_t>* t) const {
-    int64_t borrow = 0;
-    for (size_t i = 0; i < k_; ++i) {
-      int64_t diff = static_cast<int64_t>((*t)[i]) - n_[i] - borrow;
-      borrow = diff < 0;
-      if (diff < 0) diff += 1LL << 32;
-      (*t)[i] = static_cast<uint32_t>(diff);
-    }
-    if (t->size() > k_) {
-      (*t)[k_] = static_cast<uint32_t>((*t)[k_] - borrow);
-    }
-  }
-
-  std::vector<uint32_t> n_;
-  size_t k_;
-  uint32_t n0inv_;
-  std::vector<uint32_t> r2_;
-};
-
-BigNum FromWords(std::vector<uint32_t> words) {
-  // Rebuild via bytes to reuse normalization.
-  Bytes be;
-  for (size_t i = words.size(); i-- > 0;) {
-    be.push_back(static_cast<uint8_t>(words[i] >> 24));
-    be.push_back(static_cast<uint8_t>(words[i] >> 16));
-    be.push_back(static_cast<uint8_t>(words[i] >> 8));
-    be.push_back(static_cast<uint8_t>(words[i]));
-  }
-  return BigNum::FromBytes(be);
-}
-
-}  // namespace
-
 BigNum BigNum::ModExp(const BigNum& base, const BigNum& exp, const BigNum& m) {
   assert(!m.IsZero());
   if (m == FromU64(1)) return BigNum();
-  if (exp.IsZero()) return FromU64(1);
+  if (m.IsOdd()) return MontContext(m).Exp(base, exp);
 
-  if (m.IsOdd() && m.limbs().size() >= 2) {
-    // Montgomery ladder (square-and-multiply over Montgomery residues).
-    Montgomery mont(m);
-    std::vector<uint32_t> b = mont.ToMont(mont.ToWords(Mod(base, m)));
-    std::vector<uint32_t> acc = mont.One();
-    for (size_t i = exp.BitLength(); i-- > 0;) {
-      acc = mont.Mul(acc, acc);
-      if (exp.Bit(i)) acc = mont.Mul(acc, b);
-    }
-    return FromWords(mont.FromMont(acc));
-  }
-
-  // Fallback: division-based square-and-multiply (even or tiny moduli).
+  // Even modulus: division-based square-and-multiply.
   BigNum result = FromU64(1);
   BigNum b = Mod(base, m);
-  size_t bits = exp.BitLength();
-  for (size_t i = bits; i-- > 0;) {
+  for (size_t i = exp.BitLength(); i-- > 0;) {
     result = Mod(Mul(result, result), m);
     if (exp.Bit(i)) result = Mod(Mul(result, b), m);
   }
@@ -543,14 +405,14 @@ bool BigNum::IsProbablePrime(const BigNum& n, int rounds,
   }
 
   // n - 1 = d * 2^s with d odd.
-  BigNum n_minus_1 = Sub(n, FromU64(1));
-  BigNum d = n_minus_1;
+  BigNum d = Sub(n, FromU64(1));
   size_t s = 0;
   while (!d.IsOdd()) {
     d = d.ShiftRight(1);
     ++s;
   }
 
+  const MontContext mont(n);
   size_t bits = n.BitLength();
   for (int round = 0; round < rounds; ++round) {
     // Random base in [2, n-2].
@@ -558,18 +420,7 @@ bool BigNum::IsProbablePrime(const BigNum& n, int rounds,
     do {
       a = RandomBits(bits - 1, rng);
     } while (Cmp(a, FromU64(2)) < 0 || Cmp(a, Sub(n, FromU64(2))) > 0);
-
-    BigNum x = ModExp(a, d, n);
-    if (x == FromU64(1) || x == n_minus_1) continue;
-    bool composite = true;
-    for (size_t i = 0; i + 1 < s; ++i) {
-      x = Mod(Mul(x, x), n);
-      if (x == n_minus_1) {
-        composite = false;
-        break;
-      }
-    }
-    if (composite) return false;
+    if (mont.IsMillerRabinWitness(a, d, s)) return false;
   }
   return true;
 }
@@ -590,6 +441,188 @@ BigNum BigNum::GeneratePrime(size_t bits,
       candidate = Add(candidate, FromU64(2));
     }
   }
+}
+
+// -- MontContext -------------------------------------------------------------
+
+namespace {
+using u128 = unsigned __int128;
+constexpr size_t kWindowBits = 4;
+constexpr size_t kTableSize = size_t{1} << kWindowBits;
+
+// Low word of a * b + c + *carry; the high word goes back into *carry.
+// Spelled with 64-bit halves: GCC keeps these in registers where a chain
+// of 128-bit additions spills.
+inline uint64_t MulAdd(uint64_t a, uint64_t b, uint64_t c, uint64_t* carry) {
+  u128 p = static_cast<u128>(a) * b;
+  uint64_t lo = static_cast<uint64_t>(p);
+  uint64_t hi = static_cast<uint64_t>(p >> 64);
+  lo += c;
+  hi += lo < c;
+  lo += *carry;
+  hi += lo < *carry;
+  *carry = hi;
+  return lo;
+}
+}  // namespace
+
+MontContext::MontContext(const BigNum& n)
+    : n_(n), k_((n.limbs().size() + 1) / 2) {
+  assert(n.IsOdd() && n != BigNum::FromU64(1));
+  n_words_ = ToWords(n);
+  // n0inv = -n^-1 mod 2^64 by Newton iteration: n*n = 1 mod 8 for odd n,
+  // and each step doubles the correct low bits (3 -> 96).
+  const uint64_t n0 = n_words_[0];
+  uint64_t x = n0;
+  for (int i = 0; i < 5; ++i) x *= 2 - n0 * x;
+  n0inv_ = 0 - x;
+  const BigNum one = BigNum::FromU64(1);
+  r2_ = ToWords(BigNum::Mod(one.ShiftLeft(128 * k_), n));
+  one_ = ToWords(BigNum::Mod(one.ShiftLeft(64 * k_), n));
+  minus_one_ = ToWords(BigNum::Sub(n, FromWords(one_.data())));
+}
+
+void MontContext::ToWords(const BigNum& v, uint64_t* out) const {
+  const std::vector<uint32_t>& l = v.limbs_;
+  assert(l.size() <= 2 * k_);
+  for (size_t i = 0; i < k_; ++i) {
+    uint64_t lo = 2 * i < l.size() ? l[2 * i] : 0;
+    uint64_t hi = 2 * i + 1 < l.size() ? l[2 * i + 1] : 0;
+    out[i] = lo | hi << 32;
+  }
+}
+
+std::vector<uint64_t> MontContext::ToWords(const BigNum& v) const {
+  std::vector<uint64_t> out(k_);
+  ToWords(v, out.data());
+  return out;
+}
+
+BigNum MontContext::FromWords(const uint64_t* w) const {
+  BigNum out;
+  out.limbs_.resize(2 * k_);
+  for (size_t i = 0; i < k_; ++i) {
+    out.limbs_[2 * i] = static_cast<uint32_t>(w[i]);
+    out.limbs_[2 * i + 1] = static_cast<uint32_t>(w[i] >> 32);
+  }
+  out.Normalize();
+  return out;
+}
+
+void MontContext::Mul(uint64_t* r, const uint64_t* a, const uint64_t* b,
+                      uint64_t* __restrict t) const {
+  const size_t k = k_;
+  const uint64_t* n = n_words_.data();
+  const uint64_t n0inv = n0inv_;
+  std::fill(t, t + k + 1, 0);
+  for (size_t i = 0; i < k; ++i) {
+    // t = (t + a * b[i] + m * n) / 2^64, with m chosen so the low word
+    // cancels. The product and reduction rows share one pass, each with
+    // its own carry, so the two carry chains overlap.
+    const uint64_t bi = b[i];
+    uint64_t c1 = 0, c2 = 0;
+    const uint64_t u = MulAdd(a[0], bi, t[0], &c1);
+    const uint64_t m = u * n0inv;
+    (void)MulAdd(m, n[0], u, &c2);
+    for (size_t j = 1; j < k; ++j) {
+      uint64_t v = MulAdd(a[j], bi, t[j], &c1);
+      t[j - 1] = MulAdd(m, n[j], v, &c2);
+    }
+    uint64_t top = t[k] + c1;
+    uint64_t hi = top < c1;
+    top += c2;
+    hi += top < c2;
+    t[k - 1] = top;
+    t[k] = hi;
+  }
+  // t < 2n: r = t - n unless that borrows out of t's top word, selected by
+  // mask rather than by branch.
+  uint64_t borrow = 0;
+  for (size_t j = 0; j < k; ++j) {
+    u128 d = static_cast<u128>(t[j]) - n[j] - borrow;
+    r[j] = static_cast<uint64_t>(d);
+    borrow = static_cast<uint64_t>(d >> 64) & 1;
+  }
+  uint64_t keep_t =
+      static_cast<uint64_t>((static_cast<u128>(t[k]) - borrow) >> 64);
+  for (size_t j = 0; j < k; ++j) r[j] = (t[j] & keep_t) | (r[j] & ~keep_t);
+}
+
+void MontContext::PowMont(const BigNum& base, const BigNum& exp, uint64_t* acc,
+                          uint64_t* scratch) const {
+  const size_t k = k_;
+  uint64_t* table = scratch;  // kTableSize entries: base^i in Montgomery form
+  uint64_t* sel = table + kTableSize * k;
+  uint64_t* t = sel + k;
+
+  ToWords(BigNum::Mod(base, n_), sel);
+  std::copy(one_.begin(), one_.end(), table);
+  Mul(table + k, sel, r2_.data(), t);
+  for (size_t i = 2; i < kTableSize; ++i) {
+    Mul(table + i * k, table + (i - 1) * k, table + k, t);
+  }
+
+  // Scan every entry and keep the one at `index` by mask, so the memory
+  // touched does not depend on the exponent's bits.
+  auto select = [&](uint64_t index) {
+    std::fill(sel, sel + k, 0);
+    for (uint64_t i = 0; i < kTableSize; ++i) {
+      uint64_t d = i ^ index;
+      uint64_t mask = ((d | (0 - d)) >> 63) - 1;  // all ones iff i == index
+      for (size_t j = 0; j < k; ++j) sel[j] |= table[i * k + j] & mask;
+    }
+  };
+  // Windows are aligned to bit 0, so none straddles a 32-bit limb. Only the
+  // window count (the exponent's bit length) shapes the control flow: every
+  // window after the top one costs four squarings and one multiply, by
+  // R mod n when the window is 0.
+  const std::vector<uint32_t>& e = exp.limbs_;
+  auto window = [&](size_t w) -> uint64_t {
+    size_t bit = w * kWindowBits;
+    return (e[bit / 32] >> (bit % 32)) & (kTableSize - 1);
+  };
+  size_t windows = (exp.BitLength() + kWindowBits - 1) / kWindowBits;
+  if (windows == 0) {
+    std::copy(table, table + k, acc);
+    return;
+  }
+  select(window(windows - 1));
+  std::copy(sel, sel + k, acc);
+  for (size_t w = windows - 1; w-- > 0;) {
+    for (size_t s = 0; s < kWindowBits; ++s) Mul(acc, acc, acc, t);
+    select(window(w));
+    Mul(acc, acc, sel, t);
+  }
+}
+
+BigNum MontContext::Exp(const BigNum& base, const BigNum& exp) const {
+  std::vector<uint64_t> buf(ScratchWords() + k_);
+  uint64_t* acc = buf.data();
+  uint64_t* scratch = acc + k_;
+  PowMont(base, exp, acc, scratch);
+  // Out of Montgomery form: acc * 1 * R^-1.
+  uint64_t* one = scratch;
+  std::fill(one, one + k_, 0);
+  one[0] = 1;
+  Mul(acc, acc, one, scratch + k_);
+  return FromWords(acc);
+}
+
+bool MontContext::IsMillerRabinWitness(const BigNum& a, const BigNum& d,
+                                       size_t s) const {
+  std::vector<uint64_t> buf(ScratchWords() + k_);
+  uint64_t* x = buf.data();
+  uint64_t* scratch = x + k_;
+  PowMont(a, d, x, scratch);
+  auto equals = [&](const std::vector<uint64_t>& v) {
+    return std::equal(v.begin(), v.end(), x);
+  };
+  if (equals(one_) || equals(minus_one_)) return false;
+  for (size_t i = 0; i + 1 < s; ++i) {
+    Mul(x, x, x, scratch);
+    if (equals(minus_one_)) return false;
+  }
+  return true;
 }
 
 }  // namespace secureblox::crypto

@@ -43,12 +43,19 @@ Result<RsaPublicKey> RsaPublicKey::Deserialize(const Bytes& data) {
   ByteReader r(data);
   SB_ASSIGN_OR_RETURN(Bytes n_bytes, r.GetLengthPrefixed());
   SB_ASSIGN_OR_RETURN(Bytes e_bytes, r.GetLengthPrefixed());
+  if (!r.AtEnd()) {
+    return Status::CryptoError("trailing bytes after RSA public key");
+  }
   RsaPublicKey key;
   key.n = BigNum::FromBytes(n_bytes);
   key.e = BigNum::FromBytes(e_bytes);
-  if (key.n.IsZero() || key.e.IsZero()) {
-    return Status::CryptoError("invalid RSA public key encoding");
+  if (!key.n.IsOdd() || key.n.limbs().size() < 2) {
+    return Status::CryptoError("RSA modulus must be odd and at least 2^32");
   }
+  if (!key.e.IsOdd() || key.e < BigNum::FromU64(3) || key.e >= key.n) {
+    return Status::CryptoError("RSA exponent must be odd and in [3, n)");
+  }
+  key.n_ctx = std::make_shared<const MontContext>(key.n);
   return key;
 }
 
@@ -85,6 +92,9 @@ Result<RsaKeyPair> RsaGenerateKeyPair(size_t bits,
     auto qinv = BigNum::ModInverse(q, p);
     if (!qinv.ok()) continue;
     key.qinv = std::move(qinv).value();
+    key.pub.n_ctx = std::make_shared<const MontContext>(key.pub.n);
+    key.p_ctx = std::make_shared<const MontContext>(key.p);
+    key.q_ctx = std::make_shared<const MontContext>(key.q);
     return key;
   }
 }
@@ -94,10 +104,13 @@ Result<Bytes> RsaSign(const RsaKeyPair& key, const Bytes& message) {
   SB_ASSIGN_OR_RETURN(Bytes em, EmsaPkcs1V15Encode(message, k));
   BigNum m = BigNum::FromBytes(em);
   if (m >= key.pub.n) return Status::CryptoError("message rep out of range");
+  if (!key.p_ctx || !key.q_ctx) {
+    return Status::CryptoError("RSA key pair without Montgomery contexts");
+  }
 
   // CRT: s = m^d mod n computed from the halves.
-  BigNum s1 = BigNum::ModExp(m, key.dp, key.p);
-  BigNum s2 = BigNum::ModExp(m, key.dq, key.q);
+  BigNum s1 = key.p_ctx->Exp(m, key.dp);
+  BigNum s2 = key.q_ctx->Exp(m, key.dq);
   // h = qinv * (s1 - s2) mod p
   BigNum diff;
   if (s1 >= s2) {
@@ -113,10 +126,10 @@ Result<Bytes> RsaSign(const RsaKeyPair& key, const Bytes& message) {
 bool RsaVerify(const RsaPublicKey& key, const Bytes& message,
                const Bytes& signature) {
   size_t k = key.ModulusBytes();
-  if (signature.size() != k) return false;
+  if (!key.n_ctx || signature.size() != k) return false;
   BigNum s = BigNum::FromBytes(signature);
   if (s >= key.n) return false;
-  BigNum m = BigNum::ModExp(s, key.e, key.n);
+  BigNum m = key.n_ctx->Exp(s, key.e);
   Bytes em = m.ToBytes(static_cast<int>(k));
   auto expected = EmsaPkcs1V15Encode(message, k);
   if (!expected.ok()) return false;

@@ -59,6 +59,12 @@ Result<std::unique_ptr<NodeRuntime>> NodeRuntime::Create(
                                     : NodeLabel(rt->config_.index));
   rt->security_.creds = rt->config_.creds;
   rt->ws_->set_user_context(&rt->security_);
+  if (rt->config_.batch_security.auth == policy::AuthScheme::kRsa) {
+    for (const auto& [peer, pub] : rt->config_.creds.peer_public_keys) {
+      SB_ASSIGN_OR_RETURN(rt->peer_keys_[peer],
+                          crypto::RsaPublicKey::Deserialize(pub));
+    }
+  }
   if (rt->config_.fixpoint_threads >= 0) {
     rt->ws_->fixpoint_options().threads = rt->config_.fixpoint_threads;
   }
@@ -193,12 +199,11 @@ Result<Bytes> NodeRuntime::OpenFromPeer(const Bytes& sealed,
       break;
     }
     case policy::AuthScheme::kRsa: {
-      auto pub_it = config_.creds.peer_public_keys.find(*peer_principal);
-      if (pub_it == config_.creds.peer_public_keys.end()) {
+      auto pub_it = peer_keys_.find(*peer_principal);
+      if (pub_it == peer_keys_.end()) {
         return Status::CryptoError("no public key for " + *peer_principal);
       }
-      SB_ASSIGN_OR_RETURN(crypto::RsaPublicKey pub,
-                          crypto::RsaPublicKey::Deserialize(pub_it->second));
+      const crypto::RsaPublicKey& pub = pub_it->second;
       size_t sig_len = pub.ModulusBytes();
       if (payload.size() < sig_len) {
         return Status::CryptoError("batch shorter than its signature");

@@ -10,6 +10,7 @@
 #ifndef SECUREBLOX_DIST_RUNTIME_H_
 #define SECUREBLOX_DIST_RUNTIME_H_
 
+#include <map>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -264,6 +265,9 @@ class NodeRuntime {
   /// seed rule slices through a transaction.
   mutable std::shared_mutex query_mu_;
   policy::NodeSecurityState security_;
+  /// Peers' public keys, parsed once (with their Montgomery contexts) by
+  /// Create when batches are RSA-signed.
+  std::map<std::string, crypto::RsaPublicKey> peer_keys_;
   Stats stats_;
 };
 

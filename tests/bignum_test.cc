@@ -190,7 +190,7 @@ TEST(BigNumTest, ModExpMatchesNaive) {
 }
 
 TEST(BigNumTest, MontgomeryMatchesDivisionModExp) {
-  // ModExp dispatches to Montgomery for odd multi-limb moduli; verify it
+  // ModExp dispatches to Montgomery for odd moduli; verify it
   // against the identity a^(e1+e2) = a^e1 * a^e2 and against known values
   // computed via the division fallback (even modulus forces the fallback).
   Xoshiro256 rng(51);
@@ -223,6 +223,98 @@ TEST(BigNumTest, MontgomeryEdgeValues) {
   BigNum m1 = BigNum::Sub(m, BigNum::FromU64(1));
   // (m-1)^2 = 1 mod m.
   EXPECT_EQ(BigNum::ModExp(m1, BigNum::FromU64(2), m), BigNum::FromU64(1));
+}
+
+// Division-based square-and-multiply: the reference MontContext must match.
+BigNum SlowModExp(const BigNum& base, const BigNum& exp, const BigNum& m) {
+  BigNum result = BigNum::Mod(BigNum::FromU64(1), m);
+  BigNum b = BigNum::Mod(base, m);
+  for (size_t i = exp.BitLength(); i-- > 0;) {
+    result = BigNum::Mod(BigNum::Mul(result, result), m);
+    if (exp.Bit(i)) result = BigNum::Mod(BigNum::Mul(result, b), m);
+  }
+  return result;
+}
+
+TEST(BigNumTest, MontContextExpMatchesDivisionReference) {
+  Xoshiro256 rng(53);
+  auto word = [&] { return static_cast<uint32_t>(rng.Next()); };
+  BigNum one = BigNum::FromU64(1);
+  for (size_t limbs = 2; limbs <= 40; ++limbs) {
+    // Odd and even 32-bit limb counts pack into ceil(limbs / 2) 64-bit
+    // limbs, the odd ones with a zero top half.
+    BigNum random_m = BigNum::RandomBits(32 * limbs, word);
+    if (!random_m.IsOdd()) random_m = BigNum::Add(random_m, one);
+    BigNum full_ones = BigNum::Sub(one.ShiftLeft(32 * limbs), one);
+    BigNum short_ones = BigNum::Sub(one.ShiftLeft(32 * limbs - 31), one);
+    for (const BigNum& m : {random_m, full_ones, short_ones}) {
+      ASSERT_EQ(m.limbs().size(), limbs);
+      MontContext ctx(m);
+      std::vector<BigNum> bases = {
+          BigNum(),                                           // zero
+          one,
+          BigNum::Sub(m, one),                                // m - 1
+          m,                                                  // = 0 mod m
+          BigNum::Add(m, BigNum::FromU64(5)),                 // >= m
+          BigNum::RandomBits(64 * limbs + 7, word),           // >> m
+          BigNum::Mod(BigNum::RandomBits(32 * limbs, word), m)};
+      std::vector<BigNum> exps = {
+          one,
+          BigNum::FromU64(2),
+          BigNum::FromU64(65537),
+          // Bit lengths 33 and 64 + 1: the top limb's high nibbles are
+          // zero and only its lowest window holds a set bit.
+          one.ShiftLeft(32),
+          BigNum::Add(one.ShiftLeft(64), one),
+          // Runs of zero windows between set bits.
+          BigNum::Add(one.ShiftLeft(4 * limbs + 8), BigNum::FromU64(3)),
+          BigNum::RandomBits(std::min<size_t>(32 * limbs - 3, 253), word),
+          BigNum::RandomBits(17 + limbs, word)};
+      for (size_t bi = 0; bi < bases.size(); ++bi) {
+        for (size_t ei = 0; ei < exps.size(); ++ei) {
+          BigNum want = SlowModExp(bases[bi], exps[ei], m);
+          EXPECT_EQ(ctx.Exp(bases[bi], exps[ei]), want)
+              << "limbs=" << limbs << " m=" << m.ToHex() << " base#" << bi
+              << " exp#" << ei;
+          EXPECT_EQ(BigNum::ModExp(bases[bi], exps[ei], m), want);
+        }
+      }
+      EXPECT_EQ(ctx.Exp(bases.back(), BigNum()), one);
+    }
+  }
+}
+
+TEST(BigNumTest, MontContextSingleLimbModuli) {
+  // Moduli below 2^32 pack into one 64-bit limb.
+  for (uint64_t m : {3ULL, 19ULL, 65537ULL, 1000000007ULL, 4294967291ULL}) {
+    MontContext ctx(BigNum::FromU64(m));
+    for (uint64_t base : std::initializer_list<uint64_t>{0, 2, m - 1, m + 3}) {
+      for (uint64_t exp : {0, 1, 15, 16, 12345}) {
+        BigNum want = SlowModExp(BigNum::FromU64(base), BigNum::FromU64(exp),
+                                 BigNum::FromU64(m));
+        EXPECT_EQ(ctx.Exp(BigNum::FromU64(base), BigNum::FromU64(exp)), want)
+            << base << "^" << exp << " mod " << m;
+      }
+    }
+  }
+}
+
+TEST(BigNumTest, MillerRabinMultiLimb) {
+  Xoshiro256 rng(54);
+  auto word = [&] { return static_cast<uint32_t>(rng.Next()); };
+  // 2^64 - 2^32 + 1 (n - 1 = 2^32 * odd: a long squaring chain) and
+  // 2^255 - 19 are prime.
+  BigNum goldilocks = FromHexOrDie("ffffffff00000001");
+  BigNum p25519 = FromHexOrDie(
+      "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed");
+  EXPECT_TRUE(BigNum::IsProbablePrime(goldilocks, 20, word));
+  EXPECT_TRUE(BigNum::IsProbablePrime(p25519, 20, word));
+  // Products of primes above the trial-division table reach Miller-Rabin.
+  EXPECT_FALSE(BigNum::IsProbablePrime(BigNum::Mul(goldilocks, p25519), 20,
+                                       word));
+  BigNum p = BigNum::GeneratePrime(96, word);
+  BigNum q = BigNum::GeneratePrime(96, word);
+  EXPECT_FALSE(BigNum::IsProbablePrime(BigNum::Mul(p, q), 20, word));
 }
 
 TEST(BigNumTest, GcdKnown) {

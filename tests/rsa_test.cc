@@ -99,6 +99,46 @@ TEST(RsaTest, PublicKeySerializationRoundTrip) {
   EXPECT_FALSE(RsaPublicKey::Deserialize(Bytes{0x01}).ok());
 }
 
+bool ParsesAsKey(const BigNum& n, const BigNum& e) {
+  ByteWriter w;
+  w.PutLengthPrefixed(n.ToBytes());
+  w.PutLengthPrefixed(e.ToBytes());
+  return RsaPublicKey::Deserialize(w.Take()).ok();
+}
+
+TEST(RsaTest, DeserializeRejectsMalformedKeys) {
+  const BigNum& n = TestKey512().pub.n;
+  const BigNum& e = TestKey512().pub.e;
+  auto u = [](uint64_t v) { return BigNum::FromU64(v); };
+  ASSERT_TRUE(ParsesAsKey(n, e));
+  // Even modulus: no Montgomery context exists for it.
+  EXPECT_FALSE(ParsesAsKey(BigNum::Add(n, u(1)), e));
+  // Modulus shorter than two 32-bit limbs.
+  EXPECT_FALSE(ParsesAsKey(u(0xFFFFFFFB), u(3)));
+  // e even, below 3, or not below n.
+  EXPECT_FALSE(ParsesAsKey(n, u(65536)));
+  EXPECT_FALSE(ParsesAsKey(n, u(1)));
+  EXPECT_FALSE(ParsesAsKey(n, BigNum()));
+  EXPECT_FALSE(ParsesAsKey(n, n));
+  EXPECT_FALSE(ParsesAsKey(n, BigNum::Add(n, u(2))));
+  // Trailing bytes after e.
+  Bytes trailing = TestKey512().pub.Serialize();
+  trailing.push_back(0);
+  EXPECT_FALSE(RsaPublicKey::Deserialize(trailing).ok());
+}
+
+TEST(RsaTest, DeserializedKeyVerifies) {
+  const RsaKeyPair& k = TestKey512();
+  RsaPublicKey back = RsaPublicKey::Deserialize(k.pub.Serialize()).value();
+  Bytes msg = B("parsed key");
+  EXPECT_TRUE(RsaVerify(back, msg, RsaSign(k, msg).value()));
+  // A key assembled by hand has no context and verifies nothing.
+  RsaPublicKey bare;
+  bare.n = k.pub.n;
+  bare.e = k.pub.e;
+  EXPECT_FALSE(RsaVerify(bare, msg, RsaSign(k, msg).value()));
+}
+
 TEST(RsaTest, EmptyAndLargeMessages) {
   const RsaKeyPair& k = TestKey512();
   Bytes empty_sig = RsaSign(k, {}).value();
@@ -130,7 +170,8 @@ TEST(RsaTest, KnownAnswer1024) {
   // the DRBG seed and the message, so any change to the arithmetic under
   // them must reproduce these bytes exactly.
   HmacDrbg drbg(B("rsa-known-answer-1024"));
-  RsaKeyPair k = RsaGenerateKeyPair(1024, [&] { return drbg.NextU32(); }).value();
+  RsaKeyPair k =
+      RsaGenerateKeyPair(1024, [&] { return drbg.NextU32(); }).value();
   EXPECT_EQ(k.pub.n.ToHex(),
             "c003235063ab86985b03c7d2b0f4fb9353e7cff881d8bf2ef62f5fa4c37c8c78"
             "e9b82152dcbe90820dabbc1cdafff20e2a5fee6b2b30bc0491984e99758053d0"
