@@ -1,7 +1,4 @@
-// Ablation: columnar relation storage (SB_COLUMNAR) A/B.
-//
-// Two workloads, each run with the row-major layout (columnar off) and
-// the dictionary-encoded column-segment layout (columnar on):
+// Column storage: absolute cost of the wide string-heavy workload.
 //
 //   wide_scan — a wide 7-column relation (5 long low-cardinality string
 //     columns) joined through a selective multi-column filter
@@ -10,17 +7,14 @@
 //     sides: wide-row delete/reinsert batches (storage + secondary-index
 //     maintenance on string-heavy rows) and query probes with a hit/miss
 //     mix (misses answer from the dictionary without touching buckets).
-//     Row-major pays string heap traffic on every stored row, every
-//     index-bucket key, and every probe key; columnar stores u32 codes
-//     and interns each distinct string once. Gate: columnar-on wins.
+//     Relations store u32 dictionary codes and intern each distinct string
+//     once, so this is the workload where the footprint gauges move.
 //
-//   narrow_row_path — the fig08-flavoured recursion + aggregate over a
-//     narrow 2-column entity relation. Dictionary indirection cannot win
-//     here; the gate checks it does not lose: columnar-on must stay
-//     within 1.35x of row-major (min-of-trials on both sides).
-//
-// Timings are min-of-SB_TRIALS (default 3). SB_QUICK=1 shrinks sizes for
-// CI. Set SB_BENCH_OUT=<path> to record results as BENCH_column.json.
+// Records seconds plus the dict/column/index byte gauges, with no gate:
+// there is no second layout left to compare against, so the numbers are
+// a trajectory entry, not an A/B. Timings are min-of-SB_TRIALS (default
+// 3). SB_QUICK=1 shrinks sizes for CI. Set SB_BENCH_OUT=<path> to record
+// results as BENCH_column.json.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -74,7 +68,7 @@ struct RunStats {
   double index_bytes = 0;
 };
 
-// 40+ char payload so every row-major copy is a real heap string.
+// 40+ char payload so every materialized copy is a real heap string.
 std::string Tag(char col, int64_t v) {
   return std::string(1, col) + "-column-payload-padding-padding-padding-" +
          std::to_string(v);
@@ -83,14 +77,13 @@ std::string Tag(char col, int64_t v) {
 /// Wide string-heavy relation under a selective filter join plus
 /// delete/reinsert churn. Seeding is part of the measured phase: bulk
 /// ingest cost is exactly what the storage layout changes.
-RunStats RunWideScan(bool columnar) {
+RunStats RunWideScan() {
   const int64_t wide_rows = QuickMode() ? 1500 : 6000;
   const int64_t qkeys = 64;  // distinct Q values in wide
   const int64_t tags = 16;   // distinct values per string column
   const int iters = QuickMode() ? 15 : 40;
 
   Workspace ws;
-  ws.fixpoint_options().columnar = columnar;
   const std::string rule =
       "hit(K) <- query(Q), wide(K, Q, \"" + Tag('a', 3) + "\", \"" +
       Tag('b', 3) + "\", \"" + Tag('c', 3) + "\", \"" + Tag('d', 3) +
@@ -143,56 +136,10 @@ RunStats RunWideScan(bool columnar) {
   return out;
 }
 
-/// Narrow int/entity recursion: the columnar indirection must not
-/// regress the row-at-a-time probe paths.
-RunStats RunNarrowRowPath(bool columnar) {
-  const int nodes = QuickMode() ? 24 : 48;
-
-  Workspace ws;
-  ws.fixpoint_options().columnar = columnar;
-  if (!Install(&ws, R"(
-        node(X) -> .
-        link(X, Y) -> node(X), node(Y).
-        reachable(X, Y) -> node(X), node(Y).
-        reachable(X, Y) <- link(X, Y).
-        reachable(X, Y) <- link(X, Z), reachable(Z, Y).
-        dist[X] = D -> node(X), int(D).
-        dist[X] = D <- agg<< D = count() >> reachable(X, _anon).
-      )")) {
-    return {};
-  }
-  auto label = [](int i) { return Value::Str("v" + std::to_string(i)); };
-  uint64_t lcg = 0x5eedULL;
-  auto next = [&lcg] {
-    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-    return lcg >> 33;
-  };
-  std::vector<FactUpdate> links;
-  for (int i = 0; i < nodes; ++i) {
-    links.push_back({"link", {label(i), label((i + 1) % nodes)}});
-    links.push_back(
-        {"link", {label(i), label(static_cast<int>(next() % nodes))}});
-  }
-
-  auto t0 = std::chrono::steady_clock::now();
-  if (!Apply(&ws, links)) return {};
-  for (int i = 0; i < nodes; i += 5) {
-    FactUpdate f{"link", {label(i), label((i + 1) % nodes)}};
-    if (!Apply(&ws, {}, {f})) return {};
-    if (!Apply(&ws, {f})) return {};
-  }
-  RunStats out;
-  out.seconds = Seconds(t0);
-  out.dict_bytes = static_cast<double>(ws.stats().relation_dict_bytes);
-  out.column_bytes = static_cast<double>(ws.stats().relation_column_bytes);
-  out.index_bytes = static_cast<double>(ws.stats().relation_index_bytes);
-  return out;
-}
-
-RunStats MinOfTrials(RunStats (*fn)(bool), bool columnar) {
+RunStats MinOfTrials() {
   RunStats best;
   for (size_t t = 0; t < Trials(); ++t) {
-    RunStats r = fn(columnar);
+    RunStats r = RunWideScan();
     if (r.seconds < 0) return r;  // propagate failure
     if (best.seconds < 0 || r.seconds < best.seconds) best = r;
   }
@@ -202,90 +149,29 @@ RunStats MinOfTrials(RunStats (*fn)(bool), bool columnar) {
 }  // namespace
 
 int main() {
-  PrintTitle(
-      "Ablation: columnar relation storage (SB_COLUMNAR) A/B — wide "
-      "string-heavy filter join and a narrow row-at-a-time recursion");
-  PrintHeader({"workload", "columnar", "seconds", "dict_bytes",
-               "column_bytes", "index_bytes"});
+  PrintTitle("Column storage: wide string-heavy filter join with churn");
+  PrintHeader({"workload", "seconds", "dict_bytes", "column_bytes",
+               "index_bytes"});
+  const RunStats r = MinOfTrials();
+  if (r.seconds < 0) return 1;
+  std::printf("wide_scan\t%.4f\t%.0f\t%.0f\t%.0f\n", r.seconds,
+              r.dict_bytes, r.column_bytes, r.index_bytes);
 
-  struct Workload {
-    const char* name;
-    RunStats (*fn)(bool);
-  };
-  const Workload workloads[] = {
-      {"wide_scan", RunWideScan},
-      {"narrow_row_path", RunNarrowRowPath},
-  };
-
-  const char* out_path = std::getenv("SB_BENCH_OUT");
-  FILE* json = nullptr;
-  if (out_path != nullptr) {
-    json = std::fopen(out_path, "w");
+  if (const char* out_path = std::getenv("SB_BENCH_OUT")) {
+    FILE* json = std::fopen(out_path, "w");
     if (json == nullptr) {
       std::fprintf(stderr, "cannot open %s\n", out_path);
       return 1;
     }
     std::fprintf(json,
                  "{\n  \"benchmark\": \"abl_column_ab\",\n"
-                 "  \"trials\": %zu,\n  \"rows\": [\n",
-                 Trials());
-  }
-
-  bool gate_ok = true;
-  bool first_row = true;
-  std::vector<std::pair<std::string, double>> speedups;
-  for (const Workload& w : workloads) {
-    RunStats off = MinOfTrials(w.fn, false);
-    RunStats on = MinOfTrials(w.fn, true);
-    if (off.seconds < 0 || on.seconds < 0) {
-      if (json) std::fclose(json);
-      return 1;
-    }
-    for (const auto& [columnar, r] :
-         {std::pair<int, const RunStats&>{0, off}, {1, on}}) {
-      std::printf("%s\t%d\t%.4f\t%.0f\t%.0f\t%.0f\n", w.name, columnar,
-                  r.seconds, r.dict_bytes, r.column_bytes, r.index_bytes);
-      if (json) {
-        std::fprintf(json,
-                     "%s    {\"workload\": \"%s\", \"columnar\": %d, "
-                     "\"seconds\": %.6f, \"dict_bytes\": %.0f, "
-                     "\"column_bytes\": %.0f, \"index_bytes\": %.0f}",
-                     first_row ? "" : ",\n", w.name, columnar, r.seconds,
-                     r.dict_bytes, r.column_bytes, r.index_bytes);
-        first_row = false;
-      }
-    }
-    const double speedup = off.seconds / on.seconds;
-    speedups.emplace_back(w.name, speedup);
-    std::printf("# %s speedup (row/columnar): %.2fx\n", w.name, speedup);
-  }
-
-  // Gates: the wide string-heavy workload must win; the narrow
-  // row-at-a-time workload must not regress (generous bound — both
-  // sides are min-of-trials).
-  const double wide = speedups[0].second;
-  const double narrow = speedups[1].second;
-  if (wide < 1.10) {
-    std::fprintf(stderr, "GATE FAILED: wide_scan speedup %.2fx < 1.10x\n",
-                 wide);
-    gate_ok = false;
-  }
-  if (narrow < 1.0 / 1.35) {
-    std::fprintf(stderr,
-                 "GATE FAILED: narrow_row_path regression %.2fx slower "
-                 "with columnar on (bound 1.35x)\n",
-                 1.0 / narrow);
-    gate_ok = false;
-  }
-
-  if (json) {
-    std::fprintf(json,
-                 "\n  ],\n  \"speedup\": {\"wide_scan\": %.4f, "
-                 "\"narrow_row_path\": %.4f},\n"
-                 "  \"gates\": {\"wide_min\": 1.10, "
-                 "\"narrow_regression_max\": 1.35, \"ok\": %s}\n}\n",
-                 wide, narrow, gate_ok ? "true" : "false");
+                 "  \"trials\": %zu,\n  \"rows\": [\n"
+                 "    {\"workload\": \"wide_scan\", \"seconds\": %.6f, "
+                 "\"dict_bytes\": %.0f, \"column_bytes\": %.0f, "
+                 "\"index_bytes\": %.0f}\n  ]\n}\n",
+                 Trials(), r.seconds, r.dict_bytes, r.column_bytes,
+                 r.index_bytes);
     std::fclose(json);
   }
-  return gate_ok ? 0 : 1;
+  return 0;
 }

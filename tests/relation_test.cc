@@ -3,6 +3,7 @@
 // (logical content and point lookups are shard-count invariant).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,11 +30,27 @@ Tuple T(std::initializer_list<int64_t> vals) {
   return t;
 }
 
-// LookupByKeys needs caller-provided materialization space under the
-// columnar layout; row-mode tests just want the pointer.
+// LookupByKeys materializes into caller-provided space; these tests just
+// want the pointer.
 const Tuple* Lookup(const Relation& r, const Tuple& keys) {
   static Tuple scratch;
   return r.LookupByKeys(keys, &scratch);
+}
+
+// Every row whose `mask` columns equal `key`, materialized, gathered over
+// the shards the probe resolves to: the one owning shard when the mask
+// covers the shard key, all shards in order otherwise.
+std::vector<Tuple> ProbeRows(Relation& r, uint32_t mask, const Tuple& key) {
+  std::vector<Tuple> out;
+  const int only = r.ProbeShardOf(mask, key);
+  const size_t begin = only >= 0 ? static_cast<size_t>(only) : 0;
+  const size_t end = only >= 0 ? begin + 1 : r.shard_count();
+  for (size_t sh = begin; sh < end; ++sh) {
+    for (size_t slot : r.ProbeShard(sh, mask, key)) {
+      out.push_back(r.MaterializeTuple(sh, slot));
+    }
+  }
+  return out;
 }
 
 TEST(RelationTest, InsertAndDuplicate) {
@@ -96,30 +113,31 @@ TEST(RelationTest, SecondaryIndexProbe) {
   Relation r(&decl);
   for (int64_t i = 0; i < 100; ++i) r.Insert(T({i % 5, i, i % 3}));
   // Probe on column 0.
-  const auto& rows = r.Probe(0b001, T({2}));
+  const std::vector<Tuple> rows = ProbeRows(r, 0b001, T({2}));
   EXPECT_EQ(rows.size(), 20u);
-  for (size_t row : rows) EXPECT_EQ(r.row(row)[0].AsInt(), 2);
+  for (const Tuple& row : rows) EXPECT_EQ(row[0].AsInt(), 2);
   // Probe on columns 0 and 2.
-  const auto& rows2 = r.Probe(0b101, T({2, 1}));
-  for (size_t row : rows2) {
-    EXPECT_EQ(r.row(row)[0].AsInt(), 2);
-    EXPECT_EQ(r.row(row)[2].AsInt(), 1);
+  const std::vector<Tuple> rows2 = ProbeRows(r, 0b101, T({2, 1}));
+  EXPECT_FALSE(rows2.empty());
+  for (const Tuple& row : rows2) {
+    EXPECT_EQ(row[0].AsInt(), 2);
+    EXPECT_EQ(row[2].AsInt(), 1);
   }
   // Missing key: empty result.
-  EXPECT_TRUE(r.Probe(0b001, T({77})).empty());
+  EXPECT_TRUE(ProbeRows(r, 0b001, T({77})).empty());
 }
 
 TEST(RelationTest, ProbeRebuildsAfterMutation) {
   PredicateDecl decl = MakeDecl(2, false);
   Relation r(&decl);
   r.Insert(T({1, 1}));
-  EXPECT_EQ(r.Probe(0b01, T({1})).size(), 1u);
+  EXPECT_EQ(ProbeRows(r, 0b01, T({1})).size(), 1u);
   uint64_t v1 = r.version();
   r.Insert(T({1, 2}));
   EXPECT_GT(r.version(), v1);
-  EXPECT_EQ(r.Probe(0b01, T({1})).size(), 2u);
+  EXPECT_EQ(ProbeRows(r, 0b01, T({1})).size(), 2u);
   r.Erase(T({1, 1}));
-  EXPECT_EQ(r.Probe(0b01, T({1})).size(), 1u);
+  EXPECT_EQ(ProbeRows(r, 0b01, T({1})).size(), 1u);
 }
 
 TEST(RelationTest, ProbeStaysCorrectAcrossGrowthAndErasure) {
@@ -128,19 +146,19 @@ TEST(RelationTest, ProbeStaysCorrectAcrossGrowthAndErasure) {
   PredicateDecl decl = MakeDecl(2, false);
   Relation r(&decl);
   for (int64_t i = 0; i < 10; ++i) r.Insert(T({i % 2, i}));
-  EXPECT_EQ(r.Probe(0b01, T({0})).size(), 5u);
+  EXPECT_EQ(ProbeRows(r, 0b01, T({0})).size(), 5u);
   // Grow after the index was built: the appended rows must be visible.
   for (int64_t i = 10; i < 20; ++i) r.Insert(T({i % 2, i}));
-  EXPECT_EQ(r.Probe(0b01, T({0})).size(), 10u);
+  EXPECT_EQ(ProbeRows(r, 0b01, T({0})).size(), 10u);
   // Erase invalidates row ids: results must still be exact.
   r.Erase(T({0, 0}));
   r.Erase(T({1, 19}));
-  const auto& rows = r.Probe(0b01, T({0}));
+  const std::vector<Tuple> rows = ProbeRows(r, 0b01, T({0}));
   EXPECT_EQ(rows.size(), 9u);
-  for (size_t row : rows) EXPECT_EQ(r.row(row)[0].AsInt(), 0);
+  for (const Tuple& row : rows) EXPECT_EQ(row[0].AsInt(), 0);
   // And grow again after the rebuild.
   r.Insert(T({0, 100}));
-  EXPECT_EQ(r.Probe(0b01, T({0})).size(), 10u);
+  EXPECT_EQ(ProbeRows(r, 0b01, T({0})).size(), 10u);
 }
 
 TEST(RelationTest, SupportCountsTrackTuples) {
@@ -237,16 +255,15 @@ TEST(ShardedRelationTest, BoundKeyProbeTouchesExactlyOneShard) {
                                     T({k}));
     EXPECT_EQ(rows.size(), 20u);
     for (size_t slot : rows) {
-      EXPECT_EQ(r.shard_tuples(static_cast<size_t>(shard))[slot][0].AsInt(),
-                k);
+      EXPECT_EQ(r.At(static_cast<size_t>(shard), slot, 0).AsInt(), k);
     }
   }
   // Column 1 alone does not cover the shard key: fan-out.
   EXPECT_EQ(r.ProbeShardOf(0b010, T({42})), -1);
-  // The flat convenience probe gathers across shards; encoded ids decode.
-  const auto& rows = r.Probe(0b010, T({42}));
+  // A fanned-out probe gathers across shards.
+  const std::vector<Tuple> rows = ProbeRows(r, 0b010, T({42}));
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(r.row(rows[0])[1].AsInt(), 42);
+  EXPECT_EQ(rows[0][1].AsInt(), 42);
 }
 
 TEST(ShardedRelationTest, FunctionalShardsByKeysAndReplaces) {
@@ -280,21 +297,21 @@ TEST(ShardedRelationTest, EraseHeavyChurnPatchesPerShardIndexes) {
   // A bound-key probe builds only its own shard's index lazily; warm all
   // shards (what the fixpoint's pre-parallel phase does) so the counter
   // below reflects the full initial build.
-  EXPECT_EQ(r.Probe(0b01, T({0})).size(), 20u);
+  EXPECT_EQ(ProbeRows(r, 0b01, T({0})).size(), 20u);
   EXPECT_GE(r.index_builds(), 1u);
   r.EnsureIndex(0b01);
   uint64_t builds = r.index_builds();
   EXPECT_EQ(builds, r.shard_count());
   for (int64_t i = 0; i < 60; ++i) r.Erase(T({i % 6, i}));
   for (int64_t k = 0; k < 6; ++k) {
-    const auto& rows = r.Probe(0b01, T({k}));
+    const std::vector<Tuple> rows = ProbeRows(r, 0b01, T({k}));
     EXPECT_EQ(rows.size(), 10u);
-    for (size_t row : rows) EXPECT_EQ(r.row(row)[0].AsInt(), k);
+    for (const Tuple& row : rows) EXPECT_EQ(row[0].AsInt(), k);
   }
   // Reinsert into patched buckets (tail append, no rebuild).
   for (int64_t i = 0; i < 60; ++i) r.Insert(T({i % 6, i}));
   for (int64_t k = 0; k < 6; ++k) {
-    EXPECT_EQ(r.Probe(0b01, T({k})).size(), 20u);
+    EXPECT_EQ(ProbeRows(r, 0b01, T({k})).size(), 20u);
   }
   EXPECT_EQ(r.index_builds(), builds)
       << "erase churn forced a per-shard bucket rebuild";
@@ -323,13 +340,12 @@ TEST(ShardedRelationTest, ProbeShardReferenceSurvivesForeignIndexWork) {
   }
   EXPECT_EQ(rows.size(), before);
   EXPECT_EQ(rows[0], first);
-  EXPECT_EQ(r.shard_tuples(static_cast<size_t>(shard))[rows[0]][0].AsInt(),
-            1);
+  EXPECT_EQ(r.At(static_cast<size_t>(shard), rows[0], 0).AsInt(), 1);
 }
 
 // ---------------------------------------------------------------------------
-// Columnar storage: dictionary-encoded column segments must agree with the
-// row-major layout under churn, at every shard count.
+// Column storage: dictionary-encoded column segments must agree with an
+// independent content model under churn, at every shard count.
 // ---------------------------------------------------------------------------
 
 Tuple Mixed(int64_t k, int64_t tag) {
@@ -343,8 +359,7 @@ Tuple Mixed(int64_t k, int64_t tag) {
 TEST(ColumnarRelationTest, DictionaryRoundTripUnderChurn) {
   PredicateDecl decl = MakeDecl(3, false);
   for (size_t shards : {size_t{1}, size_t{4}, size_t{7}}) {
-    Relation r(&decl, shards, /*columnar=*/true);
-    ASSERT_TRUE(r.columnar());
+    Relation r(&decl, shards);
     for (int64_t i = 0; i < 150; ++i) r.Insert(Mixed(i, i % 5));
     // Every stored code decodes back to the value the accessor reports,
     // and MaterializeTuple reassembles the logical row.
@@ -387,7 +402,7 @@ TEST(ColumnarRelationTest, DictionaryRoundTripUnderChurn) {
 
 TEST(ColumnarRelationTest, ColumnDistinctTracksLiveValuesExactly) {
   PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 4, /*columnar=*/true);
+  Relation r(&decl, 4);
   auto expect_distinct = [&](int64_t upto) {
     std::set<std::string> c0, c1, c2;
     for (size_t sh = 0; sh < r.shard_count(); ++sh) {
@@ -412,31 +427,48 @@ TEST(ColumnarRelationTest, ColumnDistinctTracksLiveValuesExactly) {
   expect_distinct(120);
 }
 
-TEST(ColumnarRelationTest, ContentMatchesRowLayoutAcrossShardCounts) {
+TEST(ColumnarRelationTest, ContentMatchesModelAcrossShardCounts) {
+  // The reference is a plain ordered map of tuple -> support count, driven
+  // through the same mutation sequence with set semantics spelled out.
   PredicateDecl decl = MakeDecl(3, false);
-  auto fill = [&](Relation* r) {
-    for (int64_t i = 0; i < 200; ++i) {
-      r->Insert(Mixed(i % 31, i));
-      if (i % 4 == 0) r->AddSupport(Mixed(i % 31, i));
-    }
-    for (int64_t i = 0; i < 200; i += 5) r->Erase(Mixed(i % 31, i));
-  };
-  Relation rows(&decl, 1, /*columnar=*/false);
-  fill(&rows);
+  std::map<Tuple, uint32_t> model;
+  for (int64_t i = 0; i < 200; ++i) {
+    model.emplace(Mixed(i % 31, i), 0);
+    if (i % 4 == 0) ++model[Mixed(i % 31, i)];
+  }
+  for (int64_t i = 0; i < 200; i += 5) model.erase(Mixed(i % 31, i));
+  std::multiset<std::string> want;
+  for (const auto& [t, support] : model) {
+    std::string line;
+    for (const Value& v : t) line += v.ToString() + ",";
+    want.insert(line + "#" + std::to_string(support));
+  }
   for (size_t shards : {size_t{1}, size_t{4}, size_t{7}}) {
-    Relation cols(&decl, shards, /*columnar=*/true);
-    fill(&cols);
-    EXPECT_EQ(cols.size(), rows.size());
-    EXPECT_EQ(Contents(cols), Contents(rows)) << "shards=" << shards;
+    Relation r(&decl, shards);
     for (int64_t i = 0; i < 200; ++i) {
-      EXPECT_EQ(cols.Contains(Mixed(i % 31, i)), rows.Contains(Mixed(i % 31, i)));
+      EXPECT_EQ(r.Insert(Mixed(i % 31, i)), InsertOutcome::kInserted);
+      if (i % 4 == 0) {
+        EXPECT_EQ(r.AddSupport(Mixed(i % 31, i)), 1u);
+      }
+    }
+    for (int64_t i = 0; i < 200; i += 5) {
+      EXPECT_TRUE(r.Erase(Mixed(i % 31, i)));
+    }
+    EXPECT_EQ(r.size(), model.size());
+    EXPECT_EQ(Contents(r), want) << "shards=" << shards;
+    for (int64_t i = 0; i < 200; ++i) {
+      const Tuple t = Mixed(i % 31, i);
+      auto it = model.find(t);
+      EXPECT_EQ(r.Contains(t), it != model.end()) << "i=" << i;
+      EXPECT_EQ(r.SupportCount(t), it == model.end() ? 0u : it->second)
+          << "i=" << i;
     }
   }
 }
 
 TEST(ColumnarRelationTest, FunctionalReplaceAndSupportSurviveSwapRemove) {
   PredicateDecl decl = MakeDecl(3, true);  // keys = columns 0..1
-  Relation r(&decl, 7, /*columnar=*/true);
+  Relation r(&decl, 7);
   for (int64_t i = 0; i < 60; ++i) r.Insert(Mixed(i, i * 10));
   EXPECT_EQ(r.Insert(Mixed(3, 999)), InsertOutcome::kFdConflict);
   for (int64_t i = 0; i < 60; ++i) {
@@ -449,7 +481,7 @@ TEST(ColumnarRelationTest, FunctionalReplaceAndSupportSurviveSwapRemove) {
   ASSERT_TRUE(displaced.has_value());
   EXPECT_EQ(displaced->back().AsInt(), 30);
   EXPECT_EQ(r.size(), 60u);
-  // Support moves with swap-removed rows, same as the row layout.
+  // Support moves with swap-removed rows.
   for (int64_t i = 0; i < 8; ++i) {
     for (int64_t j = 0; j <= i; ++j) r.AddSupport(Mixed(i, i * 10));
   }
@@ -462,49 +494,49 @@ TEST(ColumnarRelationTest, FunctionalReplaceAndSupportSurviveSwapRemove) {
 
 TEST(ColumnarRelationTest, ProbeComparesCodesAndMissesFast) {
   PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 4, /*columnar=*/true);
+  Relation r(&decl, 4);
   for (int64_t i = 0; i < 100; ++i) r.Insert(Mixed(i % 5, i));
-  const auto& rows = r.Probe(0b001, T({2}));
+  const std::vector<Tuple> rows = ProbeRows(r, 0b001, T({2}));
   EXPECT_EQ(rows.size(), 20u);
-  for (size_t row : rows) EXPECT_EQ(r.row(row)[0].AsInt(), 2);
+  for (const Tuple& row : rows) EXPECT_EQ(row[0].AsInt(), 2);
   // A key absent from the dictionary answers without touching buckets.
-  EXPECT_TRUE(r.Probe(0b001, T({77})).empty());
+  EXPECT_TRUE(ProbeRows(r, 0b001, T({77})).empty());
   EXPECT_FALSE(r.CodeOf(0, Value::Int(77)).has_value());
-  // Bound-key single-shard probes agree with the row layout's routing.
+  // Bound-key single-shard probes route like full tuples (ShardOf).
   int shard = r.ProbeShardOf(0b001, T({2}));
   ASSERT_GE(shard, 0);
   EXPECT_EQ(static_cast<size_t>(shard), r.ShardOf(T({2, 0, 0})));
-  // Erase churn patches columnar buckets in place, no rebuilds.
+  // Erase churn patches the code-keyed buckets in place, no rebuilds.
   r.EnsureIndex(0b001);
   uint64_t builds = r.index_builds();
   for (int64_t i = 0; i < 50; ++i) r.Erase(Mixed(i % 5, i));
   for (int64_t k = 0; k < 5; ++k) {
-    const auto& got = r.Probe(0b001, T({k}));
+    const std::vector<Tuple> got = ProbeRows(r, 0b001, T({k}));
     EXPECT_EQ(got.size(), 10u);
-    for (size_t row : got) EXPECT_EQ(r.row(row)[0].AsInt(), k);
+    for (const Tuple& row : got) EXPECT_EQ(row[0].AsInt(), k);
   }
   EXPECT_EQ(r.index_builds(), builds);
 }
 
 TEST(ColumnarRelationTest, MemoryFootprintReportsDictionaryAndColumns) {
   PredicateDecl decl = MakeDecl(3, false);
-  Relation rows(&decl, 2, /*columnar=*/false);
-  Relation cols(&decl, 2, /*columnar=*/true);
-  for (int64_t i = 0; i < 64; ++i) {
-    rows.Insert(Mixed(i % 4, i % 8));
-    cols.Insert(Mixed(i % 4, i % 8));
-  }
-  Relation::MemoryFootprint rm = rows.Memory();
-  Relation::MemoryFootprint cm = cols.Memory();
-  EXPECT_EQ(rm.dict_bytes, 0u);
-  EXPECT_GT(rm.column_bytes, 0u);  // row storage reported as column bytes
-  EXPECT_GT(cm.dict_bytes, 0u);
-  EXPECT_GT(cm.column_bytes, 0u);
+  Relation r(&decl, 2);
+  for (int64_t i = 0; i < 64; ++i) r.Insert(Mixed(i % 4, i % 8));
+  Relation::MemoryFootprint m = r.Memory();
+  EXPECT_GT(m.dict_bytes, 0u);
+  EXPECT_GT(m.column_bytes, 0u);
+  EXPECT_GT(m.index_bytes, 0u);  // the full-tuple index
+  // A secondary index adds its buckets to the index component only.
+  r.EnsureIndex(0b001);
+  Relation::MemoryFootprint indexed = r.Memory();
+  EXPECT_GT(indexed.index_bytes, m.index_bytes);
+  EXPECT_EQ(indexed.dict_bytes, m.dict_bytes);
+  EXPECT_EQ(indexed.column_bytes, m.column_bytes);
 }
 
 TEST(ColumnarRelationTest, EncodeTupleRoundTripsAndReportsMisses) {
   PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 3, /*columnar=*/true);
+  Relation r(&decl, 3);
   for (int64_t i = 0; i < 40; ++i) r.Insert(Mixed(i % 6, i));
   std::vector<uint32_t> codes = {123u};  // pre-existing content survives
   Tuple present = Mixed(4, 17);
@@ -526,7 +558,7 @@ TEST(ColumnarRelationTest, EncodeTupleRoundTripsAndReportsMisses) {
 
 TEST(ColumnarRelationTest, SortedRunBoundsWarmStaleAndCorrect) {
   PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 2, /*columnar=*/true);
+  Relation r(&decl, 2);
   // Cold cache: nothing warm before the first EnsureSortedRuns.
   for (int64_t i = 0; i < 90; ++i) r.Insert(Mixed(i % 7, i));
   EXPECT_EQ(r.SortedRunBoundsIfWarm(0, 1), nullptr);
@@ -571,7 +603,7 @@ TEST(ColumnarRelationTest, SortedRunsStaleAfterEraseChurnAndRewarm) {
   // silently mis-delimit runs rather than crash. After a re-warm the
   // bounds must describe the post-churn vectors exactly.
   PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 2, /*columnar=*/true);
+  Relation r(&decl, 2);
   for (int64_t i = 0; i < 80; ++i) r.Insert(Mixed(i % 11, i));
   r.EnsureSortedRuns(2);
   ASSERT_NE(r.SortedRunBoundsIfWarm(0, 2), nullptr);
@@ -610,7 +642,7 @@ TEST(ColumnarRelationTest, RejectedInsertsLeaveDictionaryRefcountsClean) {
   // afterwards must still retire every code to zero live values.
   {
     PredicateDecl decl = MakeDecl(3, false);
-    Relation r(&decl, 3, /*columnar=*/true);
+    Relation r(&decl, 3);
     for (int64_t i = 0; i < 30; ++i) {
       ASSERT_EQ(r.Insert(Mixed(i % 6, i)), InsertOutcome::kInserted);
     }
@@ -631,7 +663,7 @@ TEST(ColumnarRelationTest, RejectedInsertsLeaveDictionaryRefcountsClean) {
   }
   {
     PredicateDecl decl = MakeDecl(3, true);  // keys = columns 0..1
-    Relation r(&decl, 3, /*columnar=*/true);
+    Relation r(&decl, 3);
     for (int64_t i = 0; i < 20; ++i) {
       ASSERT_EQ(r.Insert(Mixed(i, i)), InsertOutcome::kInserted);
     }
