@@ -540,6 +540,108 @@ std::vector<std::string> ReachableSources() {
           policy::SaysPolicySource(popts)};
 }
 
+// The §5.2 schedule pinned bit for bit: at compute_scale 0 every duration
+// is the 1 ns floor, so start/end times are pure functions of the SimNet
+// model and the batching decision. A tuple cap of 4 with a 200 us hold
+// exercises both closing rules: the 6-node star fills the cap at the
+// fourth arrival (no hold) and holds the fifth message open; the 4-node
+// bidirectional ring, one link per local transaction, mixes cap-closed
+// multi-source batches with single messages over the cap.
+struct PinnedTx {
+  net::NodeIndex node;
+  bool accepted;
+  bool is_delivery;
+  double start_s;
+  double end_s;
+  size_t num_payloads;
+  size_t num_tuples;
+};
+
+void ExpectSchedule(const SimCluster::Metrics& m,
+                    const std::vector<PinnedTx>& want) {
+  ASSERT_EQ(m.transactions.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const SimCluster::TxRecord& got = m.transactions[i];
+    SCOPED_TRACE("transaction " + std::to_string(i));
+    EXPECT_EQ(got.node, want[i].node);
+    EXPECT_EQ(got.accepted, want[i].accepted);
+    EXPECT_EQ(got.is_delivery, want[i].is_delivery);
+    EXPECT_EQ(got.start_s, want[i].start_s);
+    EXPECT_EQ(got.end_s, want[i].end_s);
+    EXPECT_EQ(got.num_payloads, want[i].num_payloads);
+    EXPECT_EQ(got.num_tuples, want[i].num_tuples);
+  }
+}
+
+Result<SimCluster::Metrics> RunPinnedReachable(
+    size_t n, const std::vector<std::pair<size_t, size_t>>& links) {
+  SimCluster::Config cfg;
+  cfg.num_nodes = n;
+  cfg.sources = ReachableSources();
+  cfg.credentials.rsa_bits = 512;
+  cfg.credentials.seed = "batching-schedule-pin";
+  cfg.compute_scale = 0;
+  cfg.max_batch_tuples = 4;
+  cfg.max_batch_delay_s = 200e-6;
+  SB_ASSIGN_OR_RETURN(std::unique_ptr<SimCluster> cluster,
+                      SimCluster::Create(std::move(cfg)));
+  for (const auto& [a, b] : links) {
+    cluster->ScheduleInsert(
+        static_cast<net::NodeIndex>(a),
+        {{"link", {Value::Str("p" + std::to_string(a)),
+                   Value::Str("p" + std::to_string(b))}}});
+  }
+  return cluster->Run();
+}
+
+TEST(BatchingSchedule, SimClusterTxRecordsArePinned) {
+  auto star = RunPinnedReachable(6, {{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}});
+  ASSERT_TRUE(star.ok()) << star.status().ToString();
+  ExpectSchedule(*star, {
+      {1, true, false, 0, 1.0000000000000001e-09, 0, 0},
+      {2, true, false, 0, 1.0000000000000001e-09, 0, 0},
+      {3, true, false, 0, 1.0000000000000001e-09, 0, 0},
+      {4, true, false, 0, 1.0000000000000001e-09, 0, 0},
+      {5, true, false, 0, 1.0000000000000001e-09, 0, 0},
+      {0, true, true, 0.00011479256833119924, 0.00011479356833119924, 4, 4},
+      {0, true, true, 0.00031490743666317704, 0.00031490843666317705, 1, 1},
+  });
+
+  auto ring = RunPinnedReachable(
+      4, {{0, 1}, {0, 3}, {1, 0}, {1, 2}, {2, 1}, {2, 3}, {3, 0}, {3, 2}});
+  ASSERT_TRUE(ring.ok()) << ring.status().ToString();
+  ExpectSchedule(*ring, {
+      {0, true, false, 0, 1.0000000000000001e-09, 0, 0},
+      {0, true, false, 1.0000000000000001e-09, 2.0000000000000001e-09, 0, 0},
+      {1, true, false, 0, 1.0000000000000001e-09, 0, 0},
+      {1, true, false, 1.0000000000000001e-09, 2.0000000000000001e-09, 0, 0},
+      {2, true, false, 0, 1.0000000000000001e-09, 0, 0},
+      {2, true, false, 1.0000000000000001e-09, 2.0000000000000001e-09, 0, 0},
+      {3, true, false, 0, 1.0000000000000001e-09, 0, 0},
+      {3, true, false, 1.0000000000000001e-09, 2.0000000000000001e-09, 0, 0},
+      {1, true, true, 0.00011490743666317701, 0.00011490843666317702, 4, 4},
+      {3, true, true, 0.00011873704969537203, 0.00011873804969537203, 2, 4},
+      {0, true, true, 0.00011950144884141857, 0.00011950244884141858, 4, 4},
+      {2, true, true, 0.00012053836333768834, 0.00012053936333768834, 2, 4},
+      {1, true, true, 0.00022685556772553567, 0.00022685656772553566, 1, 10},
+      {1, true, true, 0.00022719976671494693, 0.00022720076671494692, 1, 10},
+      {3, true, true, 0.00022755885062785309, 0.00022755985062785308, 1, 10},
+      {2, true, true, 0.00023403437230856618, 0.00023403537230856617, 1, 10},
+      {3, true, true, 0.00023507364755730623, 0.00023507464755730622, 1, 10},
+      {0, true, true, 0.00023648071791685786, 0.00023648171791685785, 1, 10},
+      {0, true, true, 0.00023930789068544545, 0.00023930889068544544, 1, 10},
+      {2, true, true, 0.00024229289519625498, 0.00024229389519625497, 1, 10},
+      {2, true, true, 0.0003370351790604002, 0.00033703617906040022, 1, 4},
+      {0, true, true, 0.00033860117162200221, 0.00033860217162200222, 1, 4},
+      {2, true, true, 0.0003392660431322885, 0.00033926704313228852, 1, 4},
+      {3, true, true, 0.00034075418605963772, 0.00034075518605963773, 1, 4},
+      {0, true, true, 0.00034225569358951066, 0.00034225669358951068, 1, 4},
+      {1, true, true, 0.00034460419035611497, 0.00034460519035611498, 1, 4},
+      {1, true, true, 0.00034671161583849525, 0.00034671261583849527, 1, 4},
+      {3, true, true, 0.00035605034309818117, 0.00035605134309818118, 1, 4},
+  });
+}
+
 std::set<std::string> ReachableSrcs(engine::Workspace& ws) {
   std::set<std::string> out;
   auto rows = ws.Query("reachable").value();
