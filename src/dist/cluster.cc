@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <limits>
 
 #include "common/logging.h"
+#include "dist/batcher.h"
 
 namespace secureblox::dist {
 
@@ -27,28 +27,8 @@ double SimCluster::Metrics::MeanTxDurationMs() const {
 }
 
 Result<std::unique_ptr<SimCluster>> SimCluster::Create(Config config) {
-  if (config.num_nodes == 0) {
-    return Status::InvalidArgument("cluster needs at least one node");
-  }
   std::unique_ptr<SimCluster> cluster(new SimCluster());
-  std::vector<std::string> principals;
-  for (size_t i = 0; i < config.num_nodes; ++i) {
-    principals.push_back("p" + std::to_string(i));
-  }
-  policy::CredentialAuthority authority(principals, config.credentials);
-  for (size_t i = 0; i < config.num_nodes; ++i) {
-    NodeRuntime::Config ncfg;
-    ncfg.index = static_cast<NodeIndex>(i);
-    ncfg.principals = principals;
-    SB_ASSIGN_OR_RETURN(ncfg.creds, authority.IssueFor(principals[i]));
-    ncfg.batch_security = config.batch_security;
-    ncfg.placement = config.placement;
-    ncfg.placed_preds = config.placed_preds;
-    ncfg.storage_shards = config.storage_shards;
-    SB_ASSIGN_OR_RETURN(std::unique_ptr<NodeRuntime> node,
-                        NodeRuntime::Create(std::move(ncfg), config.sources));
-    cluster->nodes_.push_back(std::move(node));
-  }
+  SB_ASSIGN_OR_RETURN(cluster->nodes_, CreateNodeRuntimes(config));
   if (config.placement) {
     size_t members = config.initial_members == 0 ? config.num_nodes
                                                  : config.initial_members;
@@ -91,32 +71,11 @@ Result<SimCluster::Metrics> SimCluster::Run() {
   std::vector<double> available(nodes_.size(), 0.0);
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  // Deliveries that have arrived but not yet been applied, per destination
-  // (arrival order), plus their sender-declared tuple totals.
-  std::vector<std::deque<net::SimNet::Delivery>> pending(nodes_.size());
-  std::vector<size_t> pending_tuples(nodes_.size(), 0);
-  const size_t cap = config_.max_batch_tuples;  // 0 = unbounded
-
-  // When node n's queued batch starts applying. A full batch closes at
-  // the arrival of the message that reached the tuple cap; otherwise the
-  // node fires once it is free and the first message is in — or, with a
-  // batch delay, `max_batch_delay_s` after the first arrival.
-  auto fire_time = [&](size_t n) -> double {
-    const std::deque<net::SimNet::Delivery>& q = pending[n];
-    double first = q.front().time_s;
-    if (cap != 0 && pending_tuples[n] >= cap) {
-      size_t acc = 0;
-      for (const net::SimNet::Delivery& d : q) {
-        acc += std::max<size_t>(1, d.tuple_hint);
-        if (acc >= cap) return std::max(available[n], d.time_s);
-      }
-    }
-    double t = std::max(available[n], first);
-    if (config_.max_batch_delay_s > 0) {
-      t = std::max(available[n], first + config_.max_batch_delay_s);
-    }
-    return t;
-  };
+  // Deliveries that have arrived but not yet been applied. Arrival is the
+  // SimNet delivery time and ties break on the SimNet sequence number, so
+  // the schedule does not depend on the order this loop pushed them in.
+  Batcher<NodeRuntime::SealedDelivery> batcher(
+      nodes_.size(), config_.max_batch_tuples, config_.max_batch_delay_s);
 
   // Account one finished transaction: charge the measured wall-clock
   // compute (sealing and verification included, rejected work too) to the
@@ -153,19 +112,8 @@ Result<SimCluster::Metrics> SimCluster::Run() {
     double t_sched = next_scheduled < scheduled_.size()
                          ? scheduled_[next_scheduled].at_s
                          : kInf;
-    double t_fire = kInf;
-    size_t fire_dst = 0;
-    uint64_t fire_seq = 0;
-    for (size_t n = 0; n < pending.size(); ++n) {
-      if (pending[n].empty()) continue;
-      double t = fire_time(n);
-      uint64_t seq = pending[n].front().seq;
-      if (t < t_fire || (t == t_fire && seq < fire_seq)) {
-        t_fire = t;
-        fire_dst = n;
-        fire_seq = seq;
-      }
-    }
+    auto fire = batcher.Next(available);
+    double t_fire = fire ? fire->time_s : kInf;
     double t_net = net_.PeekNextTime().value_or(kInf);
     if (t_sched == kInf && t_fire == kInf && t_net == kInf) break;
 
@@ -173,8 +121,8 @@ Result<SimCluster::Metrics> SimCluster::Run() {
     // start instant still coalesces into it.
     if (t_net <= std::min(t_sched, t_fire)) {
       auto d = net_.PopNext();
-      pending_tuples[d->dst] += std::max<size_t>(1, d->tuple_hint);
-      pending[d->dst].push_back(std::move(*d));
+      batcher.Push(d->dst, d->time_s, d->seq, d->tuple_hint,
+                   {d->src, std::move(d->payload)});
       continue;
     }
 
@@ -235,29 +183,16 @@ Result<SimCluster::Metrics> SimCluster::Run() {
       continue;
     }
 
-    // Coalesce queued messages for fire_dst — across sources — into one
-    // multi-source delivery transaction (whole messages, first always
-    // taken, stop once the tuple cap is reached).
-    std::vector<NodeRuntime::SealedDelivery> batch;
-    size_t tuples = 0;
-    while (!pending[fire_dst].empty()) {
-      if (!batch.empty() && cap != 0 && tuples >= cap) break;
-      net::SimNet::Delivery& d = pending[fire_dst].front();
-      size_t hint = std::max<size_t>(1, d.tuple_hint);
-      batch.push_back({d.src, std::move(d.payload)});
-      tuples += hint;
-      pending_tuples[fire_dst] -= hint;
-      pending[fire_dst].pop_front();
-    }
-
-    double start = std::max(t_fire, available[fire_dst]);
+    // One multi-source delivery transaction; DeliverBatch opens the seals
+    // inside it, so the measured duration includes verification.
+    const NodeIndex dst = static_cast<NodeIndex>(fire->dst);
+    auto [batch, tuples] = batcher.Take(dst);
+    double start = std::max(t_fire, available[dst]);
     auto t0 = std::chrono::steady_clock::now();
-    auto outcome =
-        nodes_[fire_dst]->DeliverBatch(batch);
+    auto outcome = nodes_[dst]->DeliverBatch(batch);
     double wall_s = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-    NodeIndex dst = static_cast<NodeIndex>(fire_dst);
     if (!outcome.ok()) {
       // A malformed or hostile batch must not take down the cluster loop:
       // count the rejections and keep the node serving — but log it, since

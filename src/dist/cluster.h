@@ -1,61 +1,37 @@
 // Simulated cluster: N node runtimes over the discrete-event network
 // model, standing in for the paper's 36/72-node GbE deployment.
 //
-// Distribution loop (paper §5.2): a node coalesces all queued deliveries
-// addressed to it — across source nodes — into a single multi-source
-// transaction of up to `max_batch_tuples` tuples, optionally holding the
-// batch open `max_batch_delay_s` after the first arrival. Compute and
-// network overlap: a node's fixpoint occupies only that node in simulated
-// time, so other nodes' transactions and in-flight messages proceed
-// concurrently, and messages that land while a node is busy coalesce into
-// its next transaction. Compute time is the measured wall-clock cost
+// Distribution loop (paper §5.2): a node coalesces queued deliveries
+// addressed to it — across source nodes — into multi-source transactions
+// (dist/batcher.h decides when a batch closes). Compute and network
+// overlap: a node's fixpoint occupies only that node in simulated time, so
+// other nodes' transactions and in-flight messages proceed concurrently,
+// and messages that land while a node is busy coalesce into its next
+// transaction. Compute time is the measured wall-clock cost
 // (scaled by compute_scale) and message latency comes from the SimNet
 // latency/bandwidth model — the quantities behind Figures 4–12.
 #ifndef SECUREBLOX_DIST_CLUSTER_H_
 #define SECUREBLOX_DIST_CLUSTER_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "dist/runtime.h"
 #include "net/sim_net.h"
-#include "policy/keystore.h"
 
 namespace secureblox::dist {
 
 class SimCluster {
  public:
-  struct Config {
-    size_t num_nodes = 2;
-    /// Program sources (prelude + app + policy), installed on every node.
-    std::vector<std::string> sources;
-    BatchSecurity batch_security;
-    policy::CredentialAuthority::Options credentials;
+  struct Config : ClusterConfig {
     net::SimNet::Config net;
     /// Simulated seconds per measured wall-clock second of compute.
     double compute_scale = 1.0;
-    /// §5.2 granularity knob: maximum tuples coalesced into one delivery
-    /// transaction (whole messages only — the first queued message is
-    /// always taken). 0 = unbounded; 1 reproduces the seed's
-    /// one-transaction-per-message loop.
-    size_t max_batch_tuples = 0;
-    /// Extra simulated seconds a node holds a batch open after the first
-    /// queued delivery, hoping to coalesce more (0 = apply as soon as the
-    /// node is free).
-    double max_batch_delay_s = 0;
-    /// Partitioned shard placement (dist/placement.h): every node runs
-    /// with `placed_preds` partitioned by the cluster ShardMap instead of
-    /// fully replicated.
-    bool placement = false;
-    std::vector<std::string> placed_preds;
     /// Nodes 0..initial_members-1 own shards at time zero; the rest hold
     /// empty placed relations until a scheduled join admits them. 0 = all
     /// nodes are members from the start.
     size_t initial_members = 0;
-    /// Relation storage shards per node (-1 = the SB_SHARDS default).
-    int storage_shards = -1;
   };
 
   /// One transaction (local update or coalesced delivery) in simulated

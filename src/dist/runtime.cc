@@ -643,4 +643,31 @@ Result<std::vector<NodeRuntime::Outgoing>> NodeRuntime::ExtractHandoff(
   return out;
 }
 
+Result<std::vector<std::unique_ptr<NodeRuntime>>> CreateNodeRuntimes(
+    const ClusterConfig& config) {
+  if (config.num_nodes == 0) {
+    return Status::InvalidArgument("cluster needs at least one node");
+  }
+  std::vector<std::string> principals;
+  for (size_t i = 0; i < config.num_nodes; ++i) {
+    principals.push_back("p" + std::to_string(i));
+  }
+  policy::CredentialAuthority authority(principals, config.credentials);
+  std::vector<std::unique_ptr<NodeRuntime>> nodes;
+  for (size_t i = 0; i < config.num_nodes; ++i) {
+    NodeRuntime::Config ncfg;
+    ncfg.index = static_cast<net::NodeIndex>(i);
+    ncfg.principals = principals;
+    SB_ASSIGN_OR_RETURN(ncfg.creds, authority.IssueFor(principals[i]));
+    ncfg.batch_security = config.batch_security;
+    ncfg.placement = config.placement;
+    ncfg.placed_preds = config.placed_preds;
+    ncfg.storage_shards = config.storage_shards;
+    SB_ASSIGN_OR_RETURN(std::unique_ptr<NodeRuntime> node,
+                        NodeRuntime::Create(std::move(ncfg), config.sources));
+    nodes.push_back(std::move(node));
+  }
+  return nodes;
+}
+
 }  // namespace secureblox::dist

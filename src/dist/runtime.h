@@ -271,6 +271,37 @@ class NodeRuntime {
   Stats stats_;
 };
 
+/// Configuration shared by SimCluster (simulated network) and UdpCluster
+/// (real sockets).
+struct ClusterConfig {
+  size_t num_nodes = 2;
+  /// Program sources (prelude + app + policy), installed on every node.
+  std::vector<std::string> sources;
+  BatchSecurity batch_security;
+  policy::CredentialAuthority::Options credentials;
+  /// §5.2 granularity (dist/batcher.h): maximum tuples coalesced into one
+  /// delivery transaction, whole messages only — the first queued message
+  /// is always taken. 0 = unbounded; 1 = one transaction per message.
+  /// UdpCluster weighs a datagram by its decoded payload, never by the
+  /// sender's envelope hint.
+  size_t max_batch_tuples = 0;
+  /// Seconds (simulated, or wall clock in UdpCluster) a node holds a
+  /// non-full batch open after its first arrival, hoping to coalesce more
+  /// (0 = apply as soon as the node is free). A full batch closes at once.
+  double max_batch_delay_s = 0;
+  /// Partitioned shard placement (dist/placement.h): `placed_preds` are
+  /// partitioned by the cluster ShardMap instead of fully replicated.
+  bool placement = false;
+  std::vector<std::string> placed_preds;
+  /// Relation storage shards per node (-1 = the SB_SHARDS default).
+  int storage_shards = -1;
+};
+
+/// Runtimes for principals p0..p(n-1), each holding credentials issued by
+/// one authority.
+Result<std::vector<std::unique_ptr<NodeRuntime>>> CreateNodeRuntimes(
+    const ClusterConfig& config);
+
 }  // namespace secureblox::dist
 
 #endif  // SECUREBLOX_DIST_RUNTIME_H_

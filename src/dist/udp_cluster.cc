@@ -6,9 +6,11 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/logging.h"
+#include "dist/batcher.h"
 #include "net/wire.h"
 
 namespace secureblox::dist {
@@ -17,28 +19,8 @@ using engine::FactUpdate;
 using net::NodeIndex;
 
 Result<std::unique_ptr<UdpCluster>> UdpCluster::Create(Config config) {
-  if (config.num_nodes == 0) {
-    return Status::InvalidArgument("cluster needs at least one node");
-  }
   std::unique_ptr<UdpCluster> cluster(new UdpCluster());
-  std::vector<std::string> principals;
-  for (size_t i = 0; i < config.num_nodes; ++i) {
-    principals.push_back("p" + std::to_string(i));
-  }
-  policy::CredentialAuthority authority(principals, config.credentials);
-  for (size_t i = 0; i < config.num_nodes; ++i) {
-    NodeRuntime::Config ncfg;
-    ncfg.index = static_cast<NodeIndex>(i);
-    ncfg.principals = principals;
-    SB_ASSIGN_OR_RETURN(ncfg.creds, authority.IssueFor(principals[i]));
-    ncfg.batch_security = config.batch_security;
-    ncfg.placement = config.placement;
-    ncfg.placed_preds = config.placed_preds;
-    ncfg.storage_shards = config.storage_shards;
-    SB_ASSIGN_OR_RETURN(std::unique_ptr<NodeRuntime> node,
-                        NodeRuntime::Create(std::move(ncfg), config.sources));
-    cluster->nodes_.push_back(std::move(node));
-  }
+  SB_ASSIGN_OR_RETURN(cluster->nodes_, CreateNodeRuntimes(config));
   // Bind everyone on an ephemeral port, then fill in the address book.
   std::vector<net::UdpEndpoint> endpoints(config.num_nodes,
                                           {"127.0.0.1", 0});
@@ -105,8 +87,12 @@ Result<UdpCluster::Stats> UdpCluster::Run() {
     /// payload — never the sender's claim. Unverifiable payloads (failed
     /// seal or unparseable plaintext) count 1, pending their rejection.
     size_t tuple_count = 1;
-    Clock::time_point arrival{};
+    double arrival_s = 0;
     NodeRuntime::OpenedDelivery opened;
+  };
+  const Clock::time_point t0 = Clock::now();
+  auto since_start = [t0](Clock::time_point t) {
+    return std::chrono::duration<double>(t - t0).count();
   };
   std::mutex mu;
   std::condition_variable cv;
@@ -141,7 +127,7 @@ Result<UdpCluster::Stats> UdpCluster::Run() {
           any = true;
           RxItem item;
           item.dst = static_cast<NodeIndex>(i);
-          item.arrival = Clock::now();
+          item.arrival_s = since_start(Clock::now());
           ByteReader r(**datagram);
           auto src = r.GetU32();
           auto hint = r.GetU32();
@@ -163,14 +149,13 @@ Result<UdpCluster::Stats> UdpCluster::Run() {
                 item.opened.error = plain.status().ToString();
               } else {
                 item.opened.opened = std::move(plain).value();
-                // Clamp the batching weight to the decoded truth: an
-                // oversized hint must not burst the tuple cap and a zero
-                // hint must not starve it. A payload the structural parse
-                // rejects keeps weight 1 and is thrown out by the apply
-                // path's full decode.
+                // Weigh the batch by the decoded truth: an oversized hint
+                // must not burst the tuple cap. A payload the structural
+                // parse rejects keeps weight 1 and is thrown out by the
+                // apply path's full decode.
                 auto actual = net::CountBatchTuples(item.opened.opened);
                 if (actual.ok()) {
-                  item.tuple_count = std::max<size_t>(1, *actual);
+                  item.tuple_count = *actual;
                   item.hint_mismatch = *hint != *actual;
                 }
                 // Same canary for the routing hints: the sealed header is
@@ -198,67 +183,75 @@ Result<UdpCluster::Stats> UdpCluster::Run() {
     }
   });
 
-  // Apply loop: coalesce opened payloads per destination (arrival order
-  // preserved) into multi-source transactions. A batch closes when the
-  // tuple cap fills; a non-full batch is held open `max_batch_delay_s`
-  // after its first datagram's arrival (0 = apply on the next sweep) —
-  // the same §5.2 semantics SimCluster implements in simulated time.
-  struct PendingBatch {
-    std::vector<NodeRuntime::OpenedDelivery> group;
-    size_t tuples = 0;
-    Clock::time_point first{};
-  };
-  std::vector<PendingBatch> pending(nodes_.size());
+  // Apply loop: coalesce opened payloads per destination into
+  // multi-source transactions. Its node is free whenever it looks, so a
+  // batch is due once its fire time has passed.
+  Batcher<NodeRuntime::OpenedDelivery> batcher(
+      nodes_.size(), config_.max_batch_tuples, config_.max_batch_delay_s);
+  const std::vector<double> free_now(nodes_.size(), 0.0);
+  uint64_t received = 0;
   Status status = Status::OK();
-  const size_t cap = config_.max_batch_tuples;  // 0 = unbounded
-  const auto delay = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(
-          std::max(0.0, config_.max_batch_delay_s)));
 
-  auto flush = [&](size_t dst) -> Status {
-    PendingBatch& b = pending[dst];
-    if (b.group.empty()) return Status::OK();
-    auto outcome = nodes_[dst]->DeliverOpened(b.group);
-    Status forward = Status::OK();
+  // Count what the envelope got wrong, then queue the payload. A hostile
+  // or malformed datagram must not take down the loop: it is counted and
+  // the node keeps serving.
+  auto admit = [&](RxItem& item) {
+    if (!item.envelope_ok) {
+      ++stats_.rejected;
+      return;
+    }
+    if (item.hint_mismatch) {
+      // The payload may still verify and apply — only the unsealed
+      // envelope lied — but the lie is counted where operators look.
+      ++stats_.rejected;
+      ++stats_.hint_mismatches;
+    }
+    if (item.routing_mismatch) {
+      ++stats_.rejected;
+      ++stats_.routing_mismatches;
+    }
+    batcher.Push(item.dst, item.arrival_s, received++, item.tuple_count,
+                 std::move(item.opened));
+  };
+
+  auto deliver = [&](size_t dst) -> Status {
+    std::vector<NodeRuntime::OpenedDelivery> group = batcher.Take(dst).items;
+    auto outcome = nodes_[dst]->DeliverOpened(group);
     if (!outcome.ok()) {
       // Leave a trail: this path also catches local engine failures
       // (budget, internal errors), not just attacker garbage.
       SB_LOG_STREAM(Warning)
           << "node " << dst << ": rejected batch: "
           << outcome.status().ToString();
-      stats_.rejected += b.group.size();
-    } else {
-      ++stats_.apply_transactions;
-      if (b.group.size() > 1) stats_.coalesced_messages += b.group.size();
-      stats_.messages_delivered += b.group.size();
-      stats_.rejected += b.group.size() - outcome->accepted_payloads;
-      forward = SendOutgoing(static_cast<NodeIndex>(dst),
-                             outcome->outgoing);
+      stats_.rejected += group.size();
+      return Status::OK();
     }
-    // The batch was consumed either way: a send failure must not leave
-    // it queued for a re-delivery (the facts already committed).
-    b.group.clear();
-    b.tuples = 0;
-    return forward;
+    ++stats_.apply_transactions;
+    if (group.size() > 1) stats_.coalesced_messages += group.size();
+    stats_.messages_delivered += group.size();
+    stats_.rejected += group.size() - outcome->accepted_payloads;
+    // The batch left the queue either way: a send failure must not
+    // re-deliver facts that already committed.
+    return SendOutgoing(static_cast<NodeIndex>(dst), outcome->outgoing);
   };
 
+  // The earliest-firing held batch, as of the last close pass.
+  std::optional<decltype(batcher)::Fire> next;
   int idle = 0;
   while (idle < config_.idle_sweeps && status.ok()) {
     std::vector<RxItem> items;
     {
       std::unique_lock<std::mutex> lock(mu);
-      // Wake for traffic, or in time for the earliest held batch's
-      // deadline so a quiet network cannot stall a non-full batch past
-      // its delay.
-      auto wait = std::chrono::milliseconds(config_.poll_timeout_ms);
-      if (delay.count() > 0) {
-        const auto now = Clock::now();
-        for (const PendingBatch& b : pending) {
-          if (b.group.empty()) continue;
-          auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
-              b.first + delay - now);
-          wait = std::clamp(until, std::chrono::milliseconds(0), wait);
-        }
+      // Wake for traffic, or in time for the earliest held batch so a
+      // quiet network cannot stall it past its delay. Rounded up: a
+      // truncated wait would spin through zero-length sweeps instead.
+      Clock::duration wait =
+          std::chrono::milliseconds(config_.poll_timeout_ms);
+      if (next) {
+        auto until = std::chrono::ceil<Clock::duration>(
+            std::chrono::duration<double>(next->time_s -
+                                          since_start(Clock::now())));
+        wait = std::clamp(until, Clock::duration::zero(), wait);
       }
       cv.wait_for(lock, wait,
                   [&] { return !rx_queue.empty() || !rx_status.ok(); });
@@ -271,55 +264,16 @@ Result<UdpCluster::Stats> UdpCluster::Run() {
         rx_queue.pop_front();
       }
     }
+    for (RxItem& item : items) admit(item);
 
-    // Enqueue new arrivals; a hostile or malformed datagram must not take
-    // down the loop — it is counted and the node keeps serving.
-    for (RxItem& item : items) {
-      if (!item.envelope_ok) {
-        ++stats_.rejected;
-        continue;
-      }
-      if (item.hint_mismatch) {
-        // The payload may still verify and apply — only the unsealed
-        // envelope lied — but the lie is counted where operators look.
-        ++stats_.rejected;
-        ++stats_.hint_mismatches;
-      }
-      if (item.routing_mismatch) {
-        ++stats_.rejected;
-        ++stats_.routing_mismatches;
-      }
-      PendingBatch& b = pending[item.dst];
-      if (!b.group.empty() && cap != 0 && b.tuples >= cap) {
-        status = flush(item.dst);
-        if (!status.ok()) break;
-      }
-      if (b.group.empty()) b.first = item.arrival;
-      b.group.push_back(std::move(item.opened));
-      b.tuples += item.tuple_count;
-    }
-    if (!status.ok()) break;
-
-    // Close ready batches: full ones immediately, non-full ones once the
-    // delay from their first arrival has elapsed (or right away with no
-    // delay configured).
-    const auto now = Clock::now();
     bool flushed = false;
-    for (size_t dst = 0; dst < pending.size() && status.ok(); ++dst) {
-      PendingBatch& b = pending[dst];
-      if (b.group.empty()) continue;
-      bool full = cap != 0 && b.tuples >= cap;
-      if (full || delay.count() == 0 || now - b.first >= delay) {
-        flushed = true;
-        status = flush(dst);
-      }
+    const double now = since_start(Clock::now());
+    while ((next = batcher.Next(free_now)) && next->time_s <= now) {
+      flushed = true;
+      status = deliver(next->dst);
+      if (!status.ok()) break;
     }
-    if (!status.ok()) break;
-
-    bool holding = std::any_of(
-        pending.begin(), pending.end(),
-        [](const PendingBatch& b) { return !b.group.empty(); });
-    if (items.empty() && !flushed && !holding) {
+    if (items.empty() && !flushed && !next) {
       ++idle;
     } else {
       idle = 0;
@@ -331,39 +285,14 @@ Result<UdpCluster::Stats> UdpCluster::Run() {
   rx.join();
 
   // The receive thread verifies seals off the apply loop, so it may have
-  // enqueued payloads between this loop's last sweep and the join —
-  // residue left in rx_queue here is a verified message silently dropped
-  // at shutdown. Fold it into the held batches first: everything still
-  // pending at stop time is *flushed, not dropped*.
-  std::deque<RxItem> residue;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    residue.swap(rx_queue);
-  }
-  for (RxItem& item : residue) {
-    if (!item.envelope_ok) {
-      ++stats_.rejected;
-      continue;
-    }
-    if (item.hint_mismatch) {
-      ++stats_.rejected;
-      ++stats_.hint_mismatches;
-    }
-    if (item.routing_mismatch) {
-      ++stats_.rejected;
-      ++stats_.routing_mismatches;
-    }
-    PendingBatch& b = pending[item.dst];
-    if (b.group.empty()) b.first = item.arrival;
-    b.group.push_back(std::move(item.opened));
-    b.tuples += item.tuple_count;
-  }
-
-  // Drain everything still held open — unconditionally, so an error on
-  // one destination's path never silently drops another destination's
-  // verified payloads. The first error is preserved.
-  for (size_t dst = 0; dst < pending.size(); ++dst) {
-    Status drained = flush(dst);
+  // enqueued payloads between this loop's last sweep and the join. They
+  // are verified messages: admit them and drain every held batch —
+  // unconditionally, so an error on one destination's path never drops
+  // another's payloads. Batches still split at the cap. The first error
+  // is preserved.
+  for (RxItem& item : rx_queue) admit(item);
+  while ((next = batcher.Next(free_now))) {
+    Status drained = deliver(next->dst);
     if (status.ok()) status = std::move(drained);
   }
   SB_RETURN_IF_ERROR(status);

@@ -5,53 +5,32 @@
 // socket, verifies each datagram's seal against its claimed source, and
 // enqueues the opened payloads; the apply loop drains that queue and
 // coalesces payloads per destination — across sources — into multi-source
-// transactions of up to `max_batch_tuples` tuples. Crypto thus overlaps
-// the fixpoint computation, and per-message transaction overhead amortizes
-// across the batch.
+// transactions (dist/batcher.h, the same policy SimCluster runs in
+// simulated time). Crypto thus overlaps the fixpoint computation, and
+// per-message transaction overhead amortizes across the batch.
+//
+// Placement runs over a static membership of all nodes: join/leave
+// handoff goes through the runtimes directly (ExtractHandoff and
+// SetShardMap), and the transport only adds envelope routing hints.
 #ifndef SECUREBLOX_DIST_UDP_CLUSTER_H_
 #define SECUREBLOX_DIST_UDP_CLUSTER_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "dist/runtime.h"
 #include "net/udp_transport.h"
-#include "policy/keystore.h"
 
 namespace secureblox::dist {
 
 class UdpCluster {
  public:
-  struct Config {
-    size_t num_nodes = 2;
-    std::vector<std::string> sources;
-    BatchSecurity batch_security;
-    policy::CredentialAuthority::Options credentials;
+  struct Config : ClusterConfig {
     /// Receive window per drain sweep; the run stops after `idle_sweeps`
     /// consecutive sweeps with no traffic.
     int poll_timeout_ms = 50;
     int idle_sweeps = 3;
-    /// §5.2 granularity knob: maximum tuples per coalesced apply
-    /// transaction (whole datagrams; counts are verified against the
-    /// decoded payload, never the sender-declared envelope hint). 0 =
-    /// unbounded; 1 reproduces one-transaction-per-datagram.
-    size_t max_batch_tuples = 0;
-    /// Extra wall-clock seconds the apply loop holds a non-full batch
-    /// open after its first datagram, hoping to coalesce more (0 = apply
-    /// as soon as the loop sees it). A batch that reaches
-    /// `max_batch_tuples` closes immediately — the same §5.2 semantics
-    /// SimCluster implements in simulated time.
-    double max_batch_delay_s = 0;
-    /// Partitioned shard placement (dist/placement.h) over a static
-    /// membership of all nodes. Join/leave handoff is exercised through
-    /// the runtimes directly (ExtractHandoff/SetShardMap); the transport
-    /// only adds the envelope routing hints.
-    bool placement = false;
-    std::vector<std::string> placed_preds;
-    /// Relation storage shards per node (-1 = the SB_SHARDS default).
-    int storage_shards = -1;
   };
 
   struct Stats {

@@ -26,6 +26,7 @@
 #include "apps/anonjoin.h"
 #include "apps/hashjoin.h"
 #include "apps/pathvector.h"
+#include "dist/batcher.h"
 #include "dist/cluster.h"
 #include "dist/runtime.h"
 #include "dist/udp_cluster.h"
@@ -640,6 +641,93 @@ TEST(BatchingSchedule, SimClusterTxRecordsArePinned) {
       {1, true, true, 0.00034671161583849525, 0.00034671261583849527, 1, 4},
       {3, true, true, 0.00035605034309818117, 0.00035605134309818118, 1, 4},
   });
+}
+
+// ---------------------------------------------------------------------------
+// The §5.2 decision itself (dist/batcher.h), on bare integer items.
+// ---------------------------------------------------------------------------
+
+std::vector<int> TakeItems(Batcher<int>& b, size_t dst, size_t* tuples) {
+  auto batch = b.Take(dst);
+  *tuples = batch.tuples;
+  return batch.items;
+}
+
+TEST(BatcherTest, FullBatchFiresAtCapFillingArrivalIgnoringDelay) {
+  Batcher<int> b(1, /*max_tuples=*/4, /*max_delay_s=*/10.0);
+  b.Push(0, 1.0, 0, 2, 1);
+  EXPECT_EQ(b.FireTime(0, 0.0), 11.0);  // not full: first + delay
+  b.Push(0, 2.0, 1, 2, 2);
+  b.Push(0, 3.0, 2, 1, 3);
+  EXPECT_EQ(b.FireTime(0, 0.0), 2.0);  // the second message fills the cap
+  EXPECT_EQ(b.FireTime(0, 5.0), 5.0);  // ...but the node is busy until 5
+}
+
+TEST(BatcherTest, NonFullBatchFiresAtFreeOrFirstPlusDelay) {
+  Batcher<int> b(1, 4, 0.5);
+  b.Push(0, 1.0, 0, 1, 1);
+  b.Push(0, 1.25, 1, 2, 2);
+  EXPECT_EQ(b.FireTime(0, 0.0), 1.5);
+  EXPECT_EQ(b.FireTime(0, 3.0), 3.0);
+
+  // A delay <= 0 counts as none; a cap of 0 never fills.
+  Batcher<int> eager(1, 0, -1.0);
+  for (int i = 0; i < 100; ++i) eager.Push(0, 2.0 + i, i, 50, i);
+  EXPECT_EQ(eager.FireTime(0, 0.0), 2.0);
+  EXPECT_EQ(eager.FireTime(0, 2.5), 2.5);
+}
+
+TEST(BatcherTest, TakeAlwaysTakesTheFirstAndStopsAtTheCap) {
+  Batcher<int> b(1, 2, 0.0);
+  b.Push(0, 0.0, 0, 5, 1);  // alone over the cap
+  b.Push(0, 0.0, 1, 1, 2);
+  b.Push(0, 0.0, 2, 1, 3);
+  b.Push(0, 0.0, 3, 1, 4);
+  size_t tuples = 0;
+  EXPECT_EQ(TakeItems(b, 0, &tuples), std::vector<int>({1}));
+  EXPECT_EQ(tuples, 5u);
+  EXPECT_EQ(TakeItems(b, 0, &tuples), std::vector<int>({2, 3}));
+  EXPECT_EQ(tuples, 2u);
+  EXPECT_EQ(TakeItems(b, 0, &tuples), std::vector<int>({4}));
+  EXPECT_FALSE(b.Next({0.0}).has_value());
+
+  // Whole messages: the one that crosses the cap rides along.
+  Batcher<int> whole(1, 4, 0.0);
+  whole.Push(0, 0.0, 0, 3, 1);
+  whole.Push(0, 0.0, 1, 3, 2);
+  whole.Push(0, 0.0, 2, 3, 3);
+  EXPECT_EQ(TakeItems(whole, 0, &tuples), std::vector<int>({1, 2}));
+  EXPECT_EQ(tuples, 6u);
+}
+
+TEST(BatcherTest, ZeroWeightCountsAsOne) {
+  Batcher<int> b(1, 2, 10.0);
+  b.Push(0, 1.0, 0, 0, 1);
+  EXPECT_EQ(b.FireTime(0, 0.0), 11.0);
+  b.Push(0, 2.0, 1, 0, 2);
+  b.Push(0, 3.0, 2, 0, 3);
+  EXPECT_EQ(b.FireTime(0, 0.0), 2.0);  // two empty messages fill a cap of 2
+  size_t tuples = 0;
+  EXPECT_EQ(TakeItems(b, 0, &tuples), std::vector<int>({1, 2}));
+  EXPECT_EQ(tuples, 2u);
+}
+
+TEST(BatcherTest, NextPicksEarliestFireTimeAndBreaksTiesByOrder) {
+  Batcher<int> b(3, 0, 0.0);
+  EXPECT_FALSE(b.Next({0.0, 0.0, 0.0}).has_value());
+  b.Push(0, 1.0, 5, 1, 0);
+  b.Push(1, 1.5, 2, 1, 1);
+  b.Push(2, 0.5, 9, 1, 2);
+  auto next = b.Next({0.0, 0.0, 4.0});
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->dst, 0u);
+  EXPECT_EQ(next->time_s, 1.0);
+  // Both busy until 2: equal fire times, and the later arrival holds the
+  // lower order, so it goes first.
+  next = b.Next({2.0, 2.0, 4.0});
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->dst, 1u);
+  EXPECT_EQ(next->time_s, 2.0);
 }
 
 std::set<std::string> ReachableSrcs(engine::Workspace& ws) {

@@ -2,6 +2,8 @@
 // sockets, with authenticated batches.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dist/udp_cluster.h"
 #include "policy/says_policy.h"
 
@@ -177,40 +179,52 @@ TEST(UdpClusterTest, ShutdownDrainsSocketBufferedDatagrams) {
   // delivery is deterministic (loopback sendto buffers synchronously).
   // The apply loop's cv wait uses a predicate, so spurious wakeups only
   // cost an empty sweep — they cannot fake traffic or skip the drain.
-  policy::SaysPolicyOptions popts;
-  popts.accept = policy::AcceptMode::kBenign;
+  // The drain splits batches at the tuple cap like every other close, so
+  // a cap of 1 applies the two datagrams as two transactions.
+  for (size_t cap : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE("max_batch_tuples " + std::to_string(cap));
+    policy::SaysPolicyOptions popts;
+    popts.accept = policy::AcceptMode::kBenign;
 
-  UdpCluster::Config cfg;
-  cfg.num_nodes = 2;
-  cfg.sources = {policy::PreludeSource(), kApp,
-                 policy::SaysPolicySource(popts)};
-  cfg.batch_security.auth = policy::AuthScheme::kHmac;
-  cfg.credentials.rsa_bits = 512;
-  cfg.credentials.seed = "udp-shutdown-drain";
-  cfg.poll_timeout_ms = 0;
-  cfg.idle_sweeps = 1;
+    UdpCluster::Config cfg;
+    cfg.num_nodes = 2;
+    cfg.sources = {policy::PreludeSource(), kApp,
+                   policy::SaysPolicySource(popts)};
+    cfg.batch_security.auth = policy::AuthScheme::kHmac;
+    cfg.credentials.rsa_bits = 512;
+    cfg.credentials.seed = "udp-shutdown-drain";
+    cfg.poll_timeout_ms = 0;
+    cfg.idle_sweeps = 1;
+    cfg.max_batch_tuples = cap;
 
-  auto cluster = UdpCluster::Create(std::move(cfg));
-  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    auto cluster = UdpCluster::Create(std::move(cfg));
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
 
-  // Sealed exports buffered on node 1's socket before the loops start.
-  ASSERT_TRUE((*cluster)
-                  ->Insert(0, {{"link", {Value::Str("p0"), Value::Str("p1")}}})
-                  .ok());
-  ASSERT_TRUE((*cluster)
-                  ->Insert(0, {{"link", {Value::Str("p1"), Value::Str("p0")}}})
-                  .ok());
+    // Sealed exports buffered on node 1's socket before the loops start.
+    ASSERT_TRUE(
+        (*cluster)
+            ->Insert(0, {{"link", {Value::Str("p0"), Value::Str("p1")}}})
+            .ok());
+    ASSERT_TRUE(
+        (*cluster)
+            ->Insert(0, {{"link", {Value::Str("p1"), Value::Str("p0")}}})
+            .ok());
 
-  auto stats = (*cluster)->Run();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->messages_delivered, 2u);
-  EXPECT_EQ(stats->rejected, 0u);
+    auto stats = (*cluster)->Run();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->messages_delivered, 2u);
+    EXPECT_EQ(stats->rejected, 0u);
+    if (cap == 1) {
+      EXPECT_EQ(stats->apply_transactions, 2u);
+    }
 
-  // The exported closure committed on the receiver despite the immediate
-  // shutdown: reachable(p0,p1) from the first insert, then the three new
-  // closure tuples (p1,p0), (p0,p0), (p1,p1) from the second.
-  auto rows = (*cluster)->node(1).workspace().Query("reachable").value();
-  EXPECT_EQ(rows.size(), 4u);
+    // The exported closure committed on the receiver despite the
+    // immediate shutdown: reachable(p0,p1) from the first insert, then
+    // the three new closure tuples (p1,p0), (p0,p0), (p1,p1) from the
+    // second.
+    auto rows = (*cluster)->node(1).workspace().Query("reachable").value();
+    EXPECT_EQ(rows.size(), 4u);
+  }
 }
 
 // Co-shardable app for the placement fuzz tests (tests/placement_test.cc
