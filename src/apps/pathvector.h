@@ -57,6 +57,8 @@ struct PathVectorResult {
   dist::SimCluster::Metrics metrics;
   /// bestcost[self, dst] rows per node: hop counts for verification.
   std::vector<std::vector<std::pair<size_t, int64_t>>> best_costs;
+  /// Each node's cumulative engine counters after convergence.
+  std::vector<engine::EngineStats> engine_stats;
 };
 
 /// Build the cluster, run the protocol to a distributed fixpoint on a

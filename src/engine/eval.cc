@@ -444,9 +444,14 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
     return Status::CompileError("rule body must reference at least one "
                                 "predicate: " + rule.ToString());
   }
-  for (const Step& s : out.steps) {
+  for (Step& s : out.steps) {
     if (s.kind == Step::Kind::kBuiltin && !s.builtin->thread_safe) {
       out.parallel_safe = false;
+    }
+    if (s.kind == Step::Kind::kNegCheck) {
+      s.occurrence = out.num_scan_occurrences +
+                     static_cast<int>(out.neg_preds.size());
+      out.neg_preds.push_back(s.pred);
     }
   }
   ComputeProbeInfo(&out.steps);
@@ -718,6 +723,36 @@ thread_local std::deque<EvalFrame> t_frames;
 thread_local size_t t_frame_top = 0;
 
 }  // namespace
+
+bool HasMatch(Relation& rel, uint32_t mask, const Tuple& key, bool fanout,
+              const TupleSet* exclude) {
+  auto live = [&](size_t sh, size_t slot) {
+    return exclude == nullptr ||
+           exclude->count(rel.MaterializeTuple(sh, slot)) == 0;
+  };
+  if (mask == 0) {
+    // More rows than excluded tuples: one of them must be left.
+    if (exclude == nullptr || rel.size() > exclude->size()) {
+      return !rel.empty();
+    }
+    for (size_t sh = 0; sh < rel.shard_count(); ++sh) {
+      for (size_t slot = 0; slot < rel.shard_size(sh); ++slot) {
+        if (live(sh, slot)) return true;
+      }
+    }
+    return false;
+  }
+  const int only = fanout ? -1 : rel.ProbeShardOf(mask, key);
+  const size_t begin = only >= 0 ? static_cast<size_t>(only) : 0;
+  const size_t end =
+      only >= 0 ? static_cast<size_t>(only) + 1 : rel.shard_count();
+  for (size_t sh = begin; sh < end; ++sh) {
+    for (size_t slot : rel.ProbeShard(sh, mask, key)) {
+      if (live(sh, slot)) return true;
+    }
+  }
+  return false;
+}
 
 uint64_t EvalFrameAllocs() {
   return g_frame_allocs.load(std::memory_order_relaxed);
@@ -1022,34 +1057,30 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
     }
 
     case Step::Kind::kNegCheck: {
+      // A view describes the relation's pre-change state: rows inserted
+      // since are excluded, rows erased since come back as extras.
+      const OccView* view = ViewFor(delta, step);
+      if (view != nullptr && view->extra != nullptr) {
+        for (const Tuple& t : *view->extra) {
+          if (TupleMatches(step.args, t, env)) return Status::OK();
+        }
+      }
       Relation* rel = store_.GetRelation(step.pred);
       if (rel == nullptr || rel->empty()) {
         return RunFrom(steps, idx + 1, env, delta, on_match);
       }
-      const uint32_t mask = step.probe_mask;
-      bool exists;
-      if (mask == 0) {
-        exists = !rel->empty();
-      } else {
-        Tuple& key = t_frames[frame_base_ + idx].key;
-        key.clear();
-        for (int col : step.key_cols) {
-          const ArgPat& p = step.args[col];
-          key.push_back(p.kind == ArgPat::Kind::kConst ? p.constant
-                                                       : *env[p.slot]);
-        }
-        const int only = step.probe == Step::Probe::kFanout
-                             ? -1
-                             : rel->ProbeShardOf(mask, key);
-        const size_t begin = only >= 0 ? static_cast<size_t>(only) : 0;
-        const size_t end =
-            only >= 0 ? static_cast<size_t>(only) + 1 : rel->shard_count();
-        exists = false;
-        for (size_t sh = begin; sh < end && !exists; ++sh) {
-          exists = !rel->ProbeShard(sh, mask, key).empty();
-        }
+      Tuple& key = t_frames[frame_base_ + idx].key;
+      key.clear();
+      for (int col : step.key_cols) {
+        const ArgPat& p = step.args[col];
+        key.push_back(p.kind == ArgPat::Kind::kConst ? p.constant
+                                                     : *env[p.slot]);
       }
-      if (exists) return Status::OK();  // negation fails
+      if (HasMatch(*rel, step.probe_mask, key,
+                   step.probe == Step::Probe::kFanout,
+                   view != nullptr ? view->exclude : nullptr)) {
+        return Status::OK();  // negation fails
+      }
       return RunFrom(steps, idx + 1, env, delta, on_match);
     }
 

@@ -125,17 +125,16 @@ struct VariantPlan {
   /// parallel to est_rows; surfaced by SB_EXPLAIN.
   std::vector<EstimateSource> est_src;
   std::vector<int64_t> est_distinct;
-  /// (pred, mask) pairs the plan probes — the index warm list.
-  std::vector<std::pair<datalog::PredId, uint32_t>> probe_masks;
   /// Body relation sizes at plan time — the replan drift reference.
   std::vector<std::pair<datalog::PredId, size_t>> stat_rows;
   uint64_t builds = 0;  // times this slot was (re)planned
 };
 
 /// Per-rule plan cache, attached to CompiledRule: slot 0 holds the
-/// full-body plan, slot occ+1 the occurrence-`occ` variant. Sized once
-/// (plans hand out interior pointers) and mutated only by the planner from
-/// the fixpoint's single-threaded merge phase.
+/// full-body plan, slot occ+1 the occurrence-`occ` variant — the scan
+/// occurrences first, then the negated ones (CompiledRule::neg_preds).
+/// Sized once (plans hand out interior pointers) and mutated only by the
+/// planner from the fixpoint's single-threaded merge phase.
 struct RulePlanCache {
   std::vector<std::optional<VariantPlan>> variants;
 };
@@ -165,6 +164,11 @@ struct CompiledRule {
   std::optional<CompiledAgg> agg;
   int num_scan_occurrences = 0;
   std::vector<datalog::PredId> scan_preds;    // indexed by occurrence
+  /// Negated literals, numbered after the scan occurrences: the kNegCheck
+  /// step for neg_preds[k] carries occurrence num_scan_occurrences + k, so
+  /// counting maintenance can read it through an OccView (the pre-change
+  /// state) or run it as a flipped-key variant (engine/fixpoint.h).
+  std::vector<datalog::PredId> neg_preds;
   // Head existentials.
   std::vector<int> existential_slots;
   std::vector<datalog::PredId> existential_types;
@@ -217,6 +221,8 @@ using TupleSet = std::unordered_set<Tuple, TupleHash>;
 ///    derivations have not been counted yet);
 ///  - `extra`: tuples appended to the relation's contents (tuples already
 ///    erased, restored so retraction variants see the pre-delete state).
+/// A negated occurrence reads `exclude` and `extra` the same way: its probe
+/// then tests the relation's pre-change state.
 struct OccView {
   const std::vector<Tuple>* only = nullptr;
   size_t only_begin = 0;
@@ -241,6 +247,15 @@ struct DeltaOverride {
   const std::vector<Tuple>* tuples = nullptr;
   const std::vector<OccView>* views = nullptr;
 };
+
+/// Does `rel` hold a row, outside `exclude`, whose `mask` columns (bit i =
+/// column i) equal `key` (the bound values in column order)? Mask 0 asks
+/// whether any row is left. `fanout` probes every shard even when the mask
+/// covers the shard key. The negation probe and the counting path's
+/// flip classification share this test; worker threads may call it only
+/// for masks whose index is warm (Relation::EnsureIndex).
+bool HasMatch(Relation& rel, uint32_t mask, const Tuple& key, bool fanout,
+              const TupleSet* exclude);
 
 /// Executes compiled step lists.
 class Executor {

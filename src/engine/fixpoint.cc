@@ -1,6 +1,8 @@
 #include "engine/fixpoint.h"
 
 #include <algorithm>
+#include <deque>
+#include <optional>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -312,30 +314,6 @@ void FixpointDriver::EnsureRelations() {
   }
 }
 
-void FixpointDriver::WarmIndexes(const CompiledRule& rule, size_t rule_idx) {
-  if (probe_masks_.size() < rules_.size()) {
-    probe_masks_.resize(rules_.size());
-    probe_masks_ready_.resize(rules_.size(), false);
-  }
-  if (!probe_masks_ready_[rule_idx]) {
-    probe_masks_ready_[rule_idx] = true;
-    // Bound-column masks are precomputed per step by the compiler
-    // (ComputeProbeInfo) — exactly what Executor::RunFrom probes with.
-    for (const Step& s : rule.steps) {
-      if (s.kind != Step::Kind::kScan && s.kind != Step::Kind::kNegCheck) {
-        continue;
-      }
-      if (s.probe_mask != 0) {
-        probe_masks_[rule_idx].emplace_back(s.pred, s.probe_mask);
-      }
-    }
-  }
-  for (const auto& [pred, mask] : probe_masks_[rule_idx]) {
-    Relation* rel = store_.GetRelation(pred);
-    if (rel != nullptr) rel->EnsureIndex(mask);
-  }
-}
-
 void FixpointDriver::BuildVariantViews(const CompiledRule& rule,
                                        const DeltaMap& delta,
                                        const DeltaMap& unconsumed, int occ,
@@ -388,79 +366,94 @@ void FixpointDriver::StageVariantTasks(
   for (int occ = 0; occ < n; ++occ) {
     auto it = delta.find(rule.scan_preds[occ]);
     if (it == delta.end() || it->second.empty()) continue;
-    // Plan (or fetch the cached plan for) this variant, and warm exactly
-    // the indexes its probes hit — still on the coordinating thread, so
-    // plan building and stats seeding stay deterministic. One plan serves
-    // both the insert and the retract direction of a variant: the step
-    // order is cardinality-driven, the delta routing is per occurrence.
-    const std::vector<Step>* steps = &rule.steps;
-    ExecPlanner* pl = planner();
-    const VariantPlan* vp = pl != nullptr ? pl->PlanFor(rule, occ) : nullptr;
-    if (vp != nullptr) {
-      steps = &vp->steps;
-      WarmPlanMasks(*vp);
-    } else {
-      WarmIndexes(rule, rule_idx);
-    }
-    WarmScanRuns(*steps);
     auto excl = std::make_shared<std::vector<TupleSet>>(n);
     auto views = std::make_shared<std::vector<OccView>>(n);
     BuildVariantViews(rule, delta, unconsumed, occ, retract, views.get(),
                       excl.get());
-    // Chunks are cut on the delta relation's shard boundaries: one
-    // partition per shard (relative delta order preserved within each),
-    // windowed so a huge shard still spreads across workers. Staging order
-    // — and with it the merge order — is (occ, shard, window). With one
-    // shard the round snapshot's vector is windowed directly, exactly the
-    // pre-shard decomposition.
-    auto stage_windows =
-        [&](const std::vector<Tuple>* source,
-            const std::vector<uint32_t>* index,
-            const std::shared_ptr<std::vector<std::vector<uint32_t>>>&
-                parts) {
-          const size_t rows = index != nullptr ? index->size()
-                                               : source->size();
-          const size_t chunks = ChunkCountFor(rows);
-          for (size_t c = 0; c < chunks; ++c) {
-            auto task = std::make_unique<EnumTask>();
-            task->rule = &rule;
-            task->steps = steps;
-            task->rule_idx = rule_idx;
-            task->gid = gid;
-            task->retract = retract;
-            task->occ = occ;
-            task->base_views = views;
-            task->excl = excl;
-            task->shard_parts = parts;
-            task->only = source;
-            task->only_index = index;
-            task->lo = c * rows / chunks;
-            task->hi = (c + 1) * rows / chunks;
-            tasks->push_back(std::move(task));
-          }
-        };
-    const std::vector<Tuple>& only = it->second;
-    Relation* rel = store_.GetRelation(rule.scan_preds[occ]);
-    const size_t nshards = rel != nullptr ? rel->shard_count() : 1;
-    if (nshards <= 1) {
-      stage_windows(&only, nullptr, nullptr);
-    } else {
-      // Segment slices: partition the delta into per-shard index lists
-      // over the snapshot's one vector (relative order preserved within
-      // each shard) instead of materializing per-shard tuple copies. The
-      // partition sizes — and with them the window decomposition and merge
-      // order — are exactly those of the copying layout.
-      auto parts =
-          std::make_shared<std::vector<std::vector<uint32_t>>>(nshards);
-      for (size_t k = 0; k < only.size(); ++k) {
-        (*parts)[rel->ShardOf(only[k])].push_back(static_cast<uint32_t>(k));
-      }
-      for (size_t s = 0; s < nshards; ++s) {
-        if ((*parts)[s].empty()) continue;
-        stage_windows(&only, &(*parts)[s], parts);
-      }
-    }
+    StageOccurrence(rule, rule_idx, gid, occ, retract, it->second, views,
+                    excl, tasks);
   }
+}
+
+void FixpointDriver::StageOccurrence(
+    const CompiledRule& rule, size_t rule_idx, int gid, int occ, bool retract,
+    const std::vector<Tuple>& only,
+    const std::shared_ptr<std::vector<OccView>>& views,
+    const std::shared_ptr<std::vector<TupleSet>>& excl,
+    std::vector<std::unique_ptr<EnumTask>>* tasks) {
+  // Plan (or fetch the cached plan for) this variant, and warm exactly the
+  // indexes its probes hit — still on the coordinating thread, so plan
+  // building and stats seeding stay deterministic. One plan serves both
+  // the insert and the retract direction of a variant: the step order is
+  // cardinality-driven, the delta routing is per occurrence.
+  const std::vector<Step>* steps = VariantSteps(rule, rule_idx, occ);
+  WarmSteps(*steps);
+  // Chunks are cut on the delta relation's shard boundaries: one partition
+  // per shard (relative delta order preserved within each), windowed so a
+  // huge shard still spreads across workers. Staging order — and with it
+  // the merge order — is (occ, shard, window). With one shard the round
+  // snapshot's vector is windowed directly, exactly the pre-shard
+  // decomposition.
+  auto stage_windows =
+      [&](const std::vector<uint32_t>* index,
+          const std::shared_ptr<std::vector<std::vector<uint32_t>>>& parts) {
+        const size_t rows = index != nullptr ? index->size() : only.size();
+        const size_t chunks = ChunkCountFor(rows);
+        for (size_t c = 0; c < chunks; ++c) {
+          auto task = std::make_unique<EnumTask>();
+          task->rule = &rule;
+          task->steps = steps;
+          task->rule_idx = rule_idx;
+          task->gid = gid;
+          task->retract = retract;
+          task->occ = occ;
+          task->base_views = views;
+          task->excl = excl;
+          task->shard_parts = parts;
+          task->only = &only;
+          task->only_index = index;
+          task->lo = c * rows / chunks;
+          task->hi = (c + 1) * rows / chunks;
+          tasks->push_back(std::move(task));
+        }
+      };
+  const PredId pred =
+      occ < rule.num_scan_occurrences
+          ? rule.scan_preds[occ]
+          : rule.neg_preds[occ - rule.num_scan_occurrences];
+  Relation* rel = store_.GetRelation(pred);
+  const size_t nshards = rel != nullptr ? rel->shard_count() : 1;
+  if (nshards <= 1) {
+    stage_windows(nullptr, nullptr);
+    return;
+  }
+  // Segment slices: partition the delta into per-shard index lists over
+  // the snapshot's one vector (relative order preserved within each shard)
+  // instead of materializing per-shard tuple copies. The partition sizes —
+  // and with them the window decomposition and merge order — are exactly
+  // those of the copying layout.
+  auto parts = std::make_shared<std::vector<std::vector<uint32_t>>>(nshards);
+  for (size_t k = 0; k < only.size(); ++k) {
+    (*parts)[rel->ShardOf(only[k])].push_back(static_cast<uint32_t>(k));
+  }
+  for (size_t s = 0; s < nshards; ++s) {
+    if ((*parts)[s].empty()) continue;
+    stage_windows(&(*parts)[s], parts);
+  }
+}
+
+const std::vector<Step>* FixpointDriver::VariantSteps(const CompiledRule& rule,
+                                                      size_t rule_idx,
+                                                      int occ) {
+  if (ExecPlanner* pl = planner()) {
+    if (const VariantPlan* vp = pl->PlanFor(rule, occ)) return &vp->steps;
+  }
+  if (occ < rule.num_scan_occurrences) return &rule.steps;
+  // A negated occurrence's variant starts from its flipped keys even in
+  // written order (the planner is off, or declined).
+  std::vector<Step>& steps = delta_first_[{rule_idx, occ}];
+  if (steps.empty()) steps = DeltaFirstSteps(rule, occ);
+  return &steps;
 }
 
 ExecPlanner* FixpointDriver::planner() {
@@ -474,24 +467,20 @@ ExecPlanner* FixpointDriver::planner() {
   return planner_.get();
 }
 
-void FixpointDriver::WarmPlanMasks(const VariantPlan& plan) {
-  for (const auto& [pred, mask] : plan.probe_masks) {
-    Relation* rel = store_.GetRelation(pred);
-    if (rel != nullptr) rel->EnsureIndex(mask);
-  }
-}
-
-void FixpointDriver::WarmScanRuns(const std::vector<Step>& steps) {
+void FixpointDriver::WarmSteps(const std::vector<Step>& steps) {
   for (const Step& s : steps) {
-    // Only a planner-built scan-all step with exactly one bound column
-    // takes the executor's sorted-run path; kAuto steps with bound
-    // columns always probe an index instead.
-    if (s.kind != Step::Kind::kScan || s.probe != Step::Probe::kScanAll ||
-        s.key_cols.size() != 1) {
+    if (s.kind != Step::Kind::kScan && s.kind != Step::Kind::kNegCheck) {
       continue;
     }
     Relation* rel = store_.GetRelation(s.pred);
-    if (rel != nullptr) {
+    if (rel == nullptr) continue;
+    if (s.probe != Step::Probe::kScanAll) {
+      // Bound-column masks are precomputed per step (ComputeProbeInfo) —
+      // exactly what Executor::RunFrom probes with.
+      if (s.probe_mask != 0) rel->EnsureIndex(s.probe_mask);
+    } else if (s.kind == Step::Kind::kScan && s.key_cols.size() == 1) {
+      // Only a planner-built scan-all step with exactly one bound column
+      // takes the executor's sorted-run path.
       rel->EnsureSortedRuns(static_cast<size_t>(s.key_cols[0]));
     }
   }
@@ -531,15 +520,20 @@ Status FixpointDriver::RunStagedTasks(
           return InstantiateHeads(*t.rule, e, &t.pending);
         });
   };
+  // Rules with side effects (head existentials, thread-unsafe builtins)
+  // enumerate on this thread, before the pool starts.
   WorkerPool* p = pool();
-  if (p == nullptr || tasks->size() == 1) {
-    for (auto& t : *tasks) run_one(*t);
-  } else {
-    std::vector<std::function<void()>> fns;
-    fns.reserve(tasks->size());
-    for (auto& t : *tasks) {
+  std::vector<std::function<void()>> fns;
+  for (auto& t : *tasks) {
+    if (p == nullptr || !t->rule->parallel_safe) {
+      run_one(*t);
+    } else {
       fns.push_back([&run_one, task = t.get()] { run_one(*task); });
     }
+  }
+  if (fns.size() == 1) {
+    fns[0]();
+  } else if (!fns.empty()) {
     p->Run(fns);
   }
   for (const auto& t : *tasks) {
@@ -550,18 +544,6 @@ Status FixpointDriver::RunStagedTasks(
 
 Status FixpointDriver::ApplyStagedTasks(
     std::vector<std::unique_ptr<EnumTask>>& tasks, size_t begin, size_t end) {
-  // Pre-size the target relations from the staged batch so the hot insert
-  // loop never rehashes mid-round.
-  std::map<PredId, size_t> incoming;
-  for (size_t i = begin; i < end; ++i) {
-    if (tasks[i]->retract) continue;
-    for (const auto& [pred, tuple] : tasks[i]->pending) ++incoming[pred];
-  }
-  for (const auto& [pred, count] : incoming) {
-    Relation* rel = store_.GetRelation(pred);
-    if (rel != nullptr) rel->Reserve(rel->size() + count);
-  }
-
   for (size_t i = begin; i < end; ++i) {
     EnumTask& t = *tasks[i];
     if (!t.retract) {
@@ -693,46 +675,184 @@ Status FixpointDriver::ProcessRetractions(int gid) {
     return Status::OK();
   }
 
-  // Recursive groups and flipped negation probes cannot be maintained by
-  // counting alone: rederive locally.
-  if (group.recursive || !neg_[gid].empty()) return RederiveCluster(gid);
+  // Recursive groups cannot be maintained by counting alone: rederive
+  // locally.
+  if (group.recursive) return RederiveCluster(gid);
 
-  // Counting path: enumerate destroyed instantiations on the pool (same
-  // phase split as a wave round — the supports drop in the merge phase).
+  // Counting path: the group is a single rule. Negation flips go first,
+  // against the positive state its supports were counted in; then the
+  // destroyed instantiations of the delete deltas, with negations read in
+  // the new state; the insert rounds follow. Enumeration runs on the pool
+  // (same phase split as a wave round — supports move in the merge
+  // phase). The group's own head churn must not flip its own negation
+  // probes (derivation-time semantics, as in its insert rounds).
   EnsureRelations();
-  while (!delta_[gid].dels.empty()) {
-    DeltaMap dels = std::move(delta_[gid].dels);
-    delta_[gid].dels.clear();
-    ++stats_.rounds;
-    std::vector<std::unique_ptr<EnumTask>> tasks;
-    std::map<size_t, std::pair<size_t, size_t>> staged;
-    std::vector<size_t> fired;
-    for (size_t idx : group.rules) {
-      const CompiledRule& rule = rules_[idx];
-      if (HasDeltaFor(rule, dels)) {
-        ++stats_.retract_firings;
-        fired.push_back(idx);
-        if (rule.parallel_safe) {
-          size_t begin = tasks.size();
-          StageVariantTasks(rule, idx, gid, dels, /*retract=*/true, &tasks);
-          staged[idx] = {begin, tasks.size()};
-        }
-      } else {
-        ++stats_.firings_skipped;
-      }
-    }
-    SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
-    for (size_t idx : fired) {
-      const CompiledRule& rule = rules_[idx];
-      if (rule.parallel_safe) {
-        const auto& [begin, end] = staged.at(idx);
-        SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, begin, end));
-      } else {
-        SB_RETURN_IF_ERROR(RunRetractVariants(rule, dels, gid));
-      }
+  ActiveSetGuard guard(&active_);
+  guard.Add(gid);
+  if (!neg_[gid].empty()) SB_RETURN_IF_ERROR(RunNegationRound(gid));
+  if (delta_[gid].dels.empty()) return Status::OK();
+  DeltaMap dels = std::move(delta_[gid].dels);
+  delta_[gid].dels.clear();
+  ++stats_.rounds;
+  std::vector<std::unique_ptr<EnumTask>> tasks;
+  for (size_t idx : group.rules) {
+    const CompiledRule& rule = rules_[idx];
+    if (HasDeltaFor(rule, dels)) {
+      ++stats_.retract_firings;
+      StageVariantTasks(rule, idx, gid, dels, /*retract=*/true, &tasks);
+    } else {
+      ++stats_.firings_skipped;
     }
   }
-  return Status::OK();
+  SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
+  return ApplyStagedTasks(tasks, 0, tasks.size());
+}
+
+Status FixpointDriver::RunNegationRound(int gid) {
+  // Counting maintenance of negation (Gupta, Mumick & Subrahmanian,
+  // SIGMOD 1993). The supports count instantiations in the *counted*
+  // state: positive occurrences without the unconsumed insert deltas and
+  // with the pending delete deltas, negated occurrences in their old state
+  // (current minus the queued flips' adds, plus their dels). Moving the
+  // negated occurrences to the new state one at a time telescopes the
+  // change: variant k reads earlier negated occurrences new and later ones
+  // old, and enumerates exactly the instantiations whose k-th literal
+  // flipped.
+  ChangeQueue neg = std::move(neg_[gid]);
+  neg_[gid].clear();
+  ++stats_.rounds;
+  const DeltaMap& unconsumed = delta_[gid].adds;
+  const DeltaMap& pending_dels = delta_[gid].dels;
+  // Flipped keys outlive staging: tasks point into them.
+  std::deque<std::vector<Tuple>> keys;
+  std::vector<std::unique_ptr<EnumTask>> creates;
+  std::vector<std::unique_ptr<EnumTask>> destroys;
+  for (size_t idx : graph_.group(gid).rules) {
+    const CompiledRule& rule = rules_[idx];
+    const int n = rule.num_scan_occurrences;
+    // Aggregate heads carry no derivation supports (recompute-managed).
+    const int m =
+        rule.agg.has_value() ? 0 : static_cast<int>(rule.neg_preds.size());
+    bool fired = false;
+    for (int k = 0; k < m; ++k) {
+      std::vector<Tuple> on;
+      std::vector<Tuple> off;
+      FlippedKeys(rule, n + k, neg, &on, &off);
+      if (on.empty() && off.empty()) continue;
+      fired = true;
+      auto excl = std::make_shared<std::vector<TupleSet>>(n + m);
+      auto views = std::make_shared<std::vector<OccView>>(n + m);
+      auto view_change = [&](int occ, PredId pred, const DeltaMap& erased,
+                             const DeltaMap& added) {
+        auto e = erased.find(pred);
+        if (e != erased.end()) (*views)[occ].extra = &e->second;
+        auto a = added.find(pred);
+        if (a != added.end() && !a->second.empty()) {
+          (*excl)[occ].insert(a->second.begin(), a->second.end());
+          (*views)[occ].exclude = &(*excl)[occ];
+        }
+      };
+      for (int j = 0; j < n; ++j) {
+        view_change(j, rule.scan_preds[j], pending_dels, unconsumed);
+      }
+      for (int j = k + 1; j < m; ++j) {
+        view_change(n + j, rule.neg_preds[j], neg.dels, neg.adds);
+      }
+      // An off key (last match gone) creates instantiations, an on key
+      // (first match arrived) destroys them.
+      if (!off.empty()) {
+        keys.push_back(std::move(off));
+        StageOccurrence(rule, idx, gid, n + k, /*retract=*/false, keys.back(),
+                        views, excl, &creates);
+      }
+      if (!on.empty()) {
+        keys.push_back(std::move(on));
+        StageOccurrence(rule, idx, gid, n + k, /*retract=*/true, keys.back(),
+                        views, excl, &destroys);
+      }
+    }
+    if (fired) {
+      ++stats_.retract_firings;
+    } else {
+      ++stats_.firings_skipped;
+    }
+  }
+  // Supports rise before they fall, so no tuple whose final count is
+  // positive is erased and re-inserted on the way.
+  std::vector<std::unique_ptr<EnumTask>>& tasks = creates;
+  for (auto& t : destroys) tasks.push_back(std::move(t));
+  SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
+  return ApplyStagedTasks(tasks, 0, tasks.size());
+}
+
+void FixpointDriver::FlippedKeys(const CompiledRule& rule, int occ,
+                                 const ChangeQueue& neg,
+                                 std::vector<Tuple>* on,
+                                 std::vector<Tuple>* off) {
+  const Step* lit = nullptr;
+  for (const Step& s : rule.steps) {
+    if (s.occurrence == occ) lit = &s;
+  }
+  auto added = neg.adds.find(lit->pred);
+  auto erased = neg.dels.find(lit->pred);
+  const bool any_added = added != neg.adds.end();
+  const bool any_erased = erased != neg.dels.end();
+  if (!any_added && !any_erased) return;
+  // The literal's key for a tuple: full arity, wildcard columns blanked;
+  // nullopt when the tuple fails a constant or a repeated variable.
+  auto project = [&](const Tuple& t) -> std::optional<Tuple> {
+    Tuple key(t.size());
+    for (size_t c = 0; c < lit->args.size(); ++c) {
+      const ArgPat& p = lit->args[c];
+      if (p.kind == ArgPat::Kind::kWild) continue;
+      if (p.kind == ArgPat::Kind::kConst && !(t[c] == p.constant)) {
+        return std::nullopt;
+      }
+      for (size_t e = 0; e < c; ++e) {
+        const ArgPat& q = lit->args[e];
+        if (p.kind == ArgPat::Kind::kBound &&
+            q.kind == ArgPat::Kind::kBound && q.slot == p.slot &&
+            !(t[e] == t[c])) {
+          return std::nullopt;
+        }
+      }
+      key[c] = t[c];
+    }
+    return key;
+  };
+  TupleSet added_rows;
+  if (any_added) added_rows.insert(added->second.begin(), added->second.end());
+  TupleSet erased_keys;
+  if (any_erased) {
+    for (const Tuple& t : erased->second) {
+      if (auto key = project(t)) erased_keys.insert(std::move(*key));
+    }
+  }
+  Relation& rel = *store_.GetRelation(lit->pred);
+  TupleSet seen;
+  Tuple probe;
+  auto classify = [&](const Tuple& t) {
+    std::optional<Tuple> key = project(t);
+    if (!key.has_value() || !seen.insert(*key).second) return;
+    probe.clear();
+    for (int col : lit->key_cols) probe.push_back((*key)[col]);
+    const bool now = HasMatch(rel, lit->probe_mask, probe, /*fanout=*/false,
+                              /*exclude=*/nullptr);
+    const bool before = erased_keys.count(*key) > 0 ||
+                        HasMatch(rel, lit->probe_mask, probe,
+                                 /*fanout=*/false, &added_rows);
+    if (now && !before) {
+      on->push_back(std::move(*key));
+    } else if (before && !now) {
+      off->push_back(std::move(*key));
+    }
+  };
+  if (any_added) {
+    for (const Tuple& t : added->second) classify(t);
+  }
+  if (any_erased) {
+    for (const Tuple& t : erased->second) classify(t);
+  }
 }
 
 Status FixpointDriver::CheckBudget(const RuleGroup& group) {
@@ -809,47 +929,6 @@ Status FixpointDriver::RunRuleVariants(const CompiledRule& rule,
   for (auto& [pred, tuple] : pending) {
     SB_ASSIGN_OR_RETURN(bool inserted, host_.InsertHeadTuple(pred, tuple));
     if (inserted) ++stats_.derivations;
-  }
-  return Status::OK();
-}
-
-Status FixpointDriver::RunRetractVariants(const CompiledRule& rule,
-                                          const DeltaMap& dels, int gid) {
-  Executor executor(&ctx_, &store_, ResolveSimdMode(options_.simd));
-  std::vector<std::pair<PredId, Tuple>> pending;
-  // Insert deltas this group has not consumed yet: their instantiations
-  // were never counted, so retraction must not see those tuples either.
-  const DeltaMap& unconsumed = delta_[gid].adds;
-  const int n = rule.num_scan_occurrences;
-
-  for (int occ = 0; occ < n; ++occ) {
-    auto it = dels.find(rule.scan_preds[occ]);
-    if (it == dels.end() || it->second.empty()) continue;
-    std::vector<OccView> views(n);
-    std::vector<TupleSet> excl(n);
-    views[occ].only = &it->second;
-    BuildVariantViews(rule, dels, unconsumed, occ, /*retract=*/true, &views,
-                      &excl);
-    DeltaOverride override;
-    override.views = &views;
-    ExecPlanner* pl = planner();
-    const VariantPlan* vp = pl != nullptr ? pl->PlanFor(rule, occ) : nullptr;
-    Env env(rule.num_slots);
-    SB_RETURN_IF_ERROR(executor.Run(
-        vp != nullptr ? vp->steps : rule.steps, &env, &override,
-        [&](Env& e) -> Status {
-          return InstantiateHeads(rule, e, &pending);
-        }));
-  }
-
-  for (auto& [pred, tuple] : pending) {
-    ++stats_.retractions;
-    SB_ASSIGN_OR_RETURN(bool erased, host_.RetractSupport(pred, tuple));
-    if (erased) {
-      ++stats_.deleted;
-    } else {
-      ++stats_.rescued;
-    }
   }
   return Status::OK();
 }

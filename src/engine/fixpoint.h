@@ -41,22 +41,27 @@
 //
 // Deletions propagate incrementally. Every derived tuple carries a
 // derivation-support count (Relation::SupportCount) that insert rounds
-// keep exact via mixed semi-naïve variants. A delete delta is processed
-// per group:
-//   - non-recursive groups enumerate exactly the destroyed rule
-//     instantiations (the delta at one occurrence, erased tuples restored
-//     at later occurrences) and drop one support per instantiation; a
-//     tuple whose support reaches zero — and that is not a base fact — is
-//     erased and cascades downstream; the destroyed-instantiation
-//     enumeration is chunked onto the pool like the insert path;
-//   - recursive groups, and groups whose negation probes flipped, fall
-//     back to group-local DRed: over-delete the closure of groups sharing
-//     head predicates, reseed just those groups from their body
-//     predicates, and re-run them to a local fixpoint (the reseed deltas
-//     are large, so this path gains the most from chunked enumeration).
-//     Rescued tuples annihilate against their own delete deltas in
-//     downstream queues, so downstream work is proportional to the net
-//     change.
+// keep exact via mixed semi-naïve variants. Delete deltas and negation
+// flips are processed per group:
+//   - non-recursive groups (single rules) maintain their supports by
+//     counting. Negation flips go first: each negated literal's queued
+//     adds and dels are projected onto its non-wildcard columns, and a key
+//     whose match status changed runs as a variant whose first step scans
+//     it — a key that gained its first match destroys instantiations (one
+//     support dropped each), a key that lost its last match creates them
+//     (one support added each). Then the destroyed instantiations of the
+//     delete deltas (the delta at one occurrence, erased tuples restored
+//     at later occurrences) drop one support each. A tuple whose support
+//     reaches zero — and that is not a base fact — is erased and cascades
+//     downstream. Both enumerations are chunked onto the pool like the
+//     insert path;
+//   - recursive groups fall back to group-local DRed: over-delete the
+//     closure of groups sharing head predicates, reseed just those groups
+//     from their body predicates, and re-run them to a local fixpoint (the
+//     reseed deltas are large, so this path gains the most from chunked
+//     enumeration). Rescued tuples annihilate against their own delete
+//     deltas in downstream queues, so downstream work is proportional to
+//     the net change.
 //
 // The driver mutates the database exclusively through the FixpointHost
 // interface — only ever from the merge phase — so the workspace keeps
@@ -110,7 +115,7 @@ struct FixpointStats {
   /// Tuples kept alive by an alternative derivation or a base fact, plus
   /// over-deleted tuples rederived by group-local DRed.
   uint64_t rescued = 0;
-  /// Group-local DRed invocations (recursive groups / negation flips).
+  /// Group-local DRed invocations (recursive groups only).
   uint64_t group_rederives = 0;
   /// Tuples reseeded into rederived groups — the rederivation footprint,
   /// bounded by the affected groups instead of the whole database.
@@ -275,8 +280,17 @@ class FixpointDriver {
   /// Counting retraction / group-local DRed dispatch for one group's
   /// pending delete deltas and negation flips.
   Status ProcessRetractions(int gid);
-  Status RunRetractVariants(const CompiledRule& rule, const DeltaMap& dels,
-                            int gid);
+  /// Counting maintenance of one non-recursive group's negation flips:
+  /// drops the supports of destroyed instantiations and adds those of
+  /// created ones. Consumes neg_[gid].
+  Status RunNegationRound(int gid);
+  /// The keys of negated occurrence `occ` whose match status flipped
+  /// between the old state (relation minus `neg`'s adds plus its dels) and
+  /// the current one: `on` gained a first match, `off` lost the last.
+  /// Keys are full-arity tuples with the literal's wildcard columns
+  /// blanked, deduplicated, in first-seen order.
+  void FlippedKeys(const CompiledRule& rule, int occ, const ChangeQueue& neg,
+                   std::vector<Tuple>* on, std::vector<Tuple>* off);
   /// Group-local DRed: over-delete the head-sharing closure around `gid`,
   /// reseed those groups from their body predicates, re-run to a local
   /// fixpoint.
@@ -292,9 +306,6 @@ class FixpointDriver {
   /// Create relations for every predicate the rule bodies read, so worker
   /// threads never take the lazy-creation path. Once per transaction.
   void EnsureRelations();
-  /// Build the secondary indexes the rule's probes will hit (masks are
-  /// static per compiled step), so worker threads only read them.
-  void WarmIndexes(const CompiledRule& rule, size_t rule_idx);
   /// Fill the per-occurrence views for `rule`'s variant firing at `occ`
   /// (views[occ].only is set by the caller). The single source of the
   /// mixed semi-naïve exclusion logic: insert mode hides the delta from
@@ -311,22 +322,34 @@ class FixpointDriver {
   void StageVariantTasks(const CompiledRule& rule, size_t rule_idx, int gid,
                          const DeltaMap& delta, bool retract,
                          std::vector<std::unique_ptr<EnumTask>>* tasks);
-  /// Run staged tasks on the pool (inline when threads=1); fails with the
-  /// first task error in staging order.
+  /// Stage the variant firing at occurrence `occ` (scan or negated) over
+  /// `only`, chunked on shard boundaries, with the shared per-occurrence
+  /// `views` (views[occ].only is set per task).
+  void StageOccurrence(const CompiledRule& rule, size_t rule_idx, int gid,
+                       int occ, bool retract, const std::vector<Tuple>& only,
+                       const std::shared_ptr<std::vector<OccView>>& views,
+                       const std::shared_ptr<std::vector<TupleSet>>& excl,
+                       std::vector<std::unique_ptr<EnumTask>>* tasks);
+  /// Steps for the variant at `occ`: the cached plan, else the written
+  /// order — moved delta-first for a negated occurrence (DeltaFirstSteps).
+  /// The pointer stays valid for the driver's lifetime or until the plan
+  /// is rebuilt in a later staging phase.
+  const std::vector<Step>* VariantSteps(const CompiledRule& rule,
+                                        size_t rule_idx, int occ);
+  /// Run staged tasks on the pool (inline when threads=1, and always for
+  /// rules with side effects); fails with the first task error in staging
+  /// order.
   Status RunStagedTasks(std::vector<std::unique_ptr<EnumTask>>* tasks);
   /// The cost-based planner, created on first use; nullptr while
   /// options_.plan is off (checked live, so benches can A/B between
   /// transactions). Only called from single-threaded phases.
   ExecPlanner* planner();
-  /// Build the secondary indexes a plan's probes will hit before worker
-  /// threads read them (the planned analogue of WarmIndexes).
-  void WarmPlanMasks(const VariantPlan& plan);
-  /// Refresh sorted-run metadata for every single-column filtered full
-  /// scan in `steps` (planner-chosen kScanAll probes over columnar
-  /// relations), so worker threads read warm run boundaries — the
-  /// executor only ever takes the run fast path when the cache is
-  /// current (Relation::SortedRunBoundsIfWarm).
-  void WarmScanRuns(const std::vector<Step>& steps);
+  /// Warm what worker threads will read while running `steps`: the
+  /// secondary index of every bound-column probe, and the sorted-run
+  /// metadata of every single-column filtered full scan (planner-chosen
+  /// kScanAll probes — the executor only takes the run fast path when the
+  /// cache is current, Relation::SortedRunBoundsIfWarm).
+  void WarmSteps(const std::vector<Step>& steps);
   /// Apply the staged buffers tasks[begin, end) — one rule's contiguous
   /// staging range — in order: InsertHeadTuple for insert tasks,
   /// RetractSupport for retract tasks.
@@ -343,9 +366,9 @@ class FixpointDriver {
 
   /// Unconsumed insert/delete deltas, one queue pair per rule group.
   std::vector<ChangeQueue> delta_;
-  /// Net content changes to predicates a group negates (flip triggers);
-  /// only emptiness matters, but annihilation keeps transient over-delete/
-  /// rederive churn from re-arming the group.
+  /// Net content changes to predicates a group negates since the group
+  /// last consumed them (flip triggers); annihilation keeps transient
+  /// erase/re-insert churn from flipping anything.
   std::vector<ChangeQueue> neg_;
   /// Groups currently being (re)computed: their own erasure churn (lattice
   /// improvement, over-delete) must not re-queue them.
@@ -356,10 +379,9 @@ class FixpointDriver {
   FixpointStats stats_;
   /// max_derivations plus this run's seeded/rederived volume.
   uint64_t budget_limit_ = 0;
-  /// Probe (pred, mask) pairs per rule, resolved on first use.
-  std::vector<std::vector<std::pair<datalog::PredId, uint32_t>>>
-      probe_masks_;
-  std::vector<bool> probe_masks_ready_;
+  /// Written-order negation variants by (rule index, occurrence), built on
+  /// first use (VariantSteps).
+  std::map<std::pair<size_t, int>, std::vector<Step>> delta_first_;
   bool relations_ensured_ = false;
   std::unique_ptr<WorkerPool> pool_;
   std::unique_ptr<ExecPlanner> planner_;

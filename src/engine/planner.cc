@@ -130,12 +130,15 @@ bool RebindArg(ArgPat* p, std::vector<bool>* bound, bool may_bind,
 /// updating `bound` with the slots the step binds. `force_scan` turns a
 /// kLookup into a kScan over the same atom (delta-first forcing, or keys
 /// not yet bound) — sound because a functional relation scanned by pattern
-/// enumerates the same rows the lookup would. Occurrence numbers are
-/// preserved so semi-naïve views keep applying. Returns false when the
-/// step cannot run here (planner bug guard; callers discard the plan).
+/// enumerates the same rows the lookup would. It turns a kNegCheck into a
+/// scan of the negated occurrence's flipped keys (their wildcard columns
+/// stay kWild and bind nothing). Occurrence numbers are preserved so
+/// semi-naïve views keep applying. Returns false when the step cannot run
+/// here (planner bug guard; callers discard the plan).
 bool RebindStep(const Step& base, std::vector<bool>* bound, bool force_scan,
                 Step* out) {
   *out = base;
+  if (force_scan) out->kind = Step::Kind::kScan;
   switch (out->kind) {
     case Step::Kind::kScan: {
       std::vector<std::pair<int, int>> step_cols;
@@ -148,17 +151,6 @@ bool RebindStep(const Step& base, std::vector<bool>* bound, bool force_scan,
       return true;
     }
     case Step::Kind::kLookup: {
-      if (force_scan) {
-        out->kind = Step::Kind::kScan;
-        std::vector<std::pair<int, int>> step_cols;
-        for (size_t i = 0; i < out->args.size(); ++i) {
-          if (!RebindArg(&out->args[i], bound, /*may_bind=*/true,
-                         static_cast<int>(i), &step_cols)) {
-            return false;
-          }
-        }
-        return true;
-      }
       for (size_t i = 0; i + 1 < out->args.size(); ++i) {
         if (!RebindArg(&out->args[i], bound, /*may_bind=*/false)) {
           return false;
@@ -237,6 +229,30 @@ const char* SourceName(EstimateSource s) {
 
 }  // namespace
 
+std::vector<Step> DeltaFirstSteps(const CompiledRule& rule, int occ) {
+  const std::vector<Step>& base = rule.steps;
+  std::vector<bool> bound(rule.num_slots, false);
+  std::vector<Step> out;
+  out.reserve(base.size());
+  size_t first = base.size();
+  for (size_t i = 0; i < base.size(); ++i) {
+    if (base[i].occurrence == occ) first = i;
+  }
+  if (first == base.size()) return {};
+  Step s;
+  if (!RebindStep(base[first], &bound, /*force_scan=*/true, &s)) return {};
+  out.push_back(std::move(s));
+  // Binding more slots up front only turns later binds into bound checks,
+  // so every remaining step stays runnable in its written position.
+  for (size_t i = 0; i < base.size(); ++i) {
+    if (i == first) continue;
+    if (!RebindStep(base[i], &bound, /*force_scan=*/false, &s)) return {};
+    out.push_back(std::move(s));
+  }
+  ComputeProbeInfo(&out);
+  return out;
+}
+
 double ExecPlanner::EstimateBound(const Step& step,
                                   const std::vector<bool>& bound,
                                   EstimateSource* src,
@@ -287,7 +303,7 @@ VariantPlan ExecPlanner::Build(const CompiledRule& rule, int occ) const {
       for (size_t i = 0; i < n; ++i) {
         if (base[i].occurrence == occ) {
           pick = static_cast<int>(i);
-          force_scan = base[i].kind == Step::Kind::kLookup;
+          force_scan = base[i].kind != Step::Kind::kScan;
           pick_est = -1.0;  // Δ: sized per round, not estimable here
           break;
         }
@@ -362,9 +378,6 @@ VariantPlan ExecPlanner::Build(const CompiledRule& rule, int occ) const {
     } else {
       s.probe = Step::Probe::kFanout;
     }
-    if (s.probe_mask != 0 && s.probe != Step::Probe::kScanAll) {
-      plan.probe_masks.emplace_back(s.pred, s.probe_mask);
-    }
   }
   for (const Step& s : base) {
     if (s.pred == datalog::kInvalidPred) continue;
@@ -398,7 +411,8 @@ const VariantPlan* ExecPlanner::PlanFor(const CompiledRule& rule, int occ) {
   if (cache.variants.empty()) {
     // Sized exactly once: executing code holds interior pointers into the
     // slots, so the vector must never reallocate after this.
-    cache.variants.resize(static_cast<size_t>(rule.num_scan_occurrences) + 1);
+    cache.variants.resize(static_cast<size_t>(rule.num_scan_occurrences) +
+                          rule.neg_preds.size() + 1);
   }
   const size_t slot = static_cast<size_t>(occ + 1);  // kFullBody -> 0
   if (slot >= cache.variants.size()) return nullptr;
@@ -420,7 +434,13 @@ const VariantPlan* ExecPlanner::PlanFor(const CompiledRule& rule, int occ) {
 std::string ExecPlanner::Explain(const CompiledRule& rule, int occ,
                                  const VariantPlan& plan) const {
   std::string out = "[plan] rule#" + std::to_string(rule.id) + " variant=";
-  out += occ < 0 ? "full" : "d" + std::to_string(occ);
+  if (occ < 0) {
+    out += "full";
+  } else if (occ < rule.num_scan_occurrences) {
+    out += "d" + std::to_string(occ);
+  } else {
+    out += "neg" + std::to_string(occ - rule.num_scan_occurrences);
+  }
   out += " builds=" + std::to_string(plan.builds);
   // The kernel instruction set scans will run with (engine/kernels.h) —
   // a throughput property only; it never changes the plan or the result.

@@ -40,6 +40,12 @@
 
 namespace secureblox::engine {
 
+/// `rule`'s written-order steps with occurrence `occ` moved first and
+/// forced to a scan, the rest rebound in place — the planner-off form of a
+/// negated occurrence's variant, which must start from its flipped keys.
+/// Empty when `occ` names no step.
+std::vector<Step> DeltaFirstSteps(const CompiledRule& rule, int occ);
+
 class ExecPlanner {
  public:
   /// Variant index for the full-body plan (aggregate recomputes).

@@ -52,7 +52,9 @@ struct RuleGroup {
   /// Same-stratum groups consuming this group's head predicates.
   std::vector<int> successors;
   /// True when the group contains a rule whose body reads a head predicate
-  /// of the same group (needs iteration to a local fixpoint).
+  /// of the same group (needs iteration to a local fixpoint). Recursion is
+  /// the only reason a group leaves the counting deletion path for
+  /// group-local DRed; a non-recursive group is a single rule.
   bool recursive = false;
   /// Every predicate the group touches — heads plus body reads (scans,
   /// lookups, negation probes), sorted and unique. Two groups whose
@@ -92,8 +94,9 @@ class RuleGraph {
   const std::vector<int>& consumer_groups_of(datalog::PredId pred) const;
 
   /// Group ids containing a rule that negates `pred`. Content changes to
-  /// `pred` (either direction) can flip those rules' negation probes, so
-  /// the groups must rederive (group-local DRed).
+  /// `pred` (either direction) can flip those rules' negation probes: a
+  /// non-recursive group counts the flipped instantiations, a recursive
+  /// one rederives (group-local DRed; see engine/fixpoint.h).
   const std::vector<int>& negator_groups_of(datalog::PredId pred) const;
 
   /// Rules with `pred` among their head predicates. Group-local DRed
@@ -102,8 +105,8 @@ class RuleGraph {
   const std::vector<size_t>& producers_of(datalog::PredId pred) const;
 
   /// Predicates appearing under negation in some rule body. Base insertions
-  /// into these invalidate existing derivations (the workspace routes such
-  /// transactions through delete-and-rederive).
+  /// into these can retract existing derivations (the workspace checks
+  /// constraints in full for such transactions).
   const std::unordered_set<datalog::PredId>& negated_preds() const {
     return negated_preds_;
   }

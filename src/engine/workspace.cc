@@ -300,16 +300,21 @@ Status Workspace::EraseTupleTx(PredId pred, const Tuple& tuple, TxState* tx) {
   uint32_t support = rel->SupportCount(copy);
   if (!rel->Erase(copy)) return Status::OK();
   ++tx->num_erased;
+  const size_t undo_pos = tx->undo.size();
   tx->undo.push_back({UndoOp::Kind::kErased, pred, copy, support});
   auto base_it = base_tuples_.find(pred);
   if (base_it != base_tuples_.end() && base_it->second.erase(copy)) {
     tx->undo.push_back({UndoOp::Kind::kBaseRemoved, pred, copy, 0});
   }
+  bool inserted_here = false;
   auto ins_it = tx->inserted.find(pred);
   if (ins_it != tx->inserted.end()) {
     auto& vec = ins_it->second;
-    vec.erase(std::remove(vec.begin(), vec.end(), copy), vec.end());
+    auto mid = std::remove(vec.begin(), vec.end(), copy);
+    inserted_here = mid != vec.end();
+    vec.erase(mid, vec.end());
   }
+  if (!inserted_here) tx->erased_existing.push_back(undo_pos);
   driver_->NotifyDelete(pred, copy);
   return Status::OK();
 }
@@ -819,13 +824,41 @@ Result<TxCommit> Workspace::Apply(const std::vector<FactUpdate>& inserts,
   Status constraints = CheckConstraints(&tx);
   if (!constraints.ok()) return fail(constraints);
 
-  // Commit.
+  // Commit. A row erased and rederived within the transaction existed
+  // before it: it is not new, and must not be exported again. The erased
+  // rows are looked up by (pred, hash) in one sorted array — DRed erases
+  // and rederives whole relations, so a per-row hash set would cost more
+  // than the rederivation's own bookkeeping.
+  using ExistedKey = std::pair<PredId, size_t>;
+  std::vector<std::pair<ExistedKey, const Tuple*>> existed;
+  existed.reserve(tx.erased_existing.size());
+  for (size_t pos : tx.erased_existing) {
+    const UndoOp& op = tx.undo[pos];
+    existed.push_back({{op.pred, TupleHash()(op.tuple)}, &op.tuple});
+  }
+  auto key_less = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::sort(existed.begin(), existed.end(), key_less);
   TxCommit commit;
   for (auto& [pred, tuples] : tx.inserted) {
     Relation* rel = GetRelation(pred);
+    auto first = std::lower_bound(existed.begin(), existed.end(),
+                                  std::make_pair(ExistedKey{pred, 0}, nullptr),
+                                  key_less);
+    const bool any_existed =
+        first != existed.end() && first->first.first == pred;
+    auto existed_before = [&](const Tuple& t) {
+      auto [lo, hi] = std::equal_range(
+          existed.begin(), existed.end(),
+          std::make_pair(ExistedKey{pred, TupleHash()(t)}, nullptr), key_less);
+      return std::any_of(lo, hi, [&](const auto& e) { return *e.second == t; });
+    };
     std::vector<Tuple> live;
     for (Tuple& t : tuples) {
-      if (rel->Contains(t)) live.push_back(std::move(t));
+      if (!rel->Contains(t)) continue;
+      if (any_existed && existed_before(t)) continue;
+      live.push_back(std::move(t));
     }
     if (!live.empty()) commit.inserted[pred] = std::move(live);
   }

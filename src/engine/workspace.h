@@ -16,9 +16,9 @@
 // Deletions propagate incrementally (counting + group-local DRed): each
 // derived tuple carries a derivation-support count maintained by the
 // fixpoint driver, a base-fact delete seeds a delete delta, and only
-// tuples whose support reaches zero cascade. Recursive rule groups and
-// flipped negation probes rederive group-locally instead of reseeding the
-// whole database (see engine/fixpoint.h).
+// tuples whose support reaches zero cascade. Flipped negation probes are
+// counted the same way; recursive rule groups rederive group-locally
+// instead of reseeding the whole database (see engine/fixpoint.h).
 #ifndef SECUREBLOX_ENGINE_WORKSPACE_H_
 #define SECUREBLOX_ENGINE_WORKSPACE_H_
 
@@ -238,6 +238,10 @@ class Workspace : public RelationStore, private FixpointHost {
   struct TxState {
     std::vector<UndoOp> undo;
     std::map<datalog::PredId, std::vector<Tuple>> inserted;
+    /// Undo-log positions (kErased) of rows erased that this transaction
+    /// had not inserted: they existed before it, so a re-insert
+    /// (rederivation) is not a new tuple.
+    std::vector<size_t> erased_existing;
     /// Mutations staged for remote shard owners (placement mode).
     std::vector<RemoteDelta> remote;
     size_t num_derived = 0;

@@ -1,12 +1,17 @@
 // Counting-based incremental deletion: support counts keep tuples with
-// alternative derivations alive, recursive groups fall back to group-local
-// DRed, aggregate outputs retract with their inputs, and failed deletes
-// roll back exactly — including functional key slots.
+// alternative derivations alive, negation flips are counted too, recursive
+// groups fall back to group-local DRed, aggregate outputs retract with
+// their inputs, and failed deletes roll back exactly — including
+// functional key slots. A differential test checks every relation and
+// support count of random programs with negation against a workspace
+// rebuilt from the surviving base facts.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 
+#include "common/random.h"
 #include "datalog/parser.h"
 #include "engine/workspace.h"
 
@@ -149,6 +154,11 @@ TEST(CountingDeleteTest, RecursiveGroupUsesGroupLocalDRed) {
   ASSERT_TRUE(del.ok()) << del.status().ToString();
   EXPECT_EQ(QuerySet(ws, "reachable").size(), 2u);  // a->b, c->d
   EXPECT_GE(del->fixpoint.group_rederives, 1u);
+  // The over-deleted survivors were rederived, not newly derived: the
+  // commit lists no reachable row as inserted.
+  auto reachable = ws.catalog().Lookup("reachable");
+  ASSERT_TRUE(reachable.ok());
+  EXPECT_EQ(del->inserted.count(reachable.value()), 0u);
 }
 
 TEST(CountingDeleteTest, DeleteRetractsAggregateAndDownstream) {
@@ -252,15 +262,19 @@ TEST(CountingDeleteTest, NegationFlipsOnDeleteAndInsert) {
   EXPECT_EQ(QuerySet(ws, "unlinked").size(), 4u);
 
   // Insert into the negated predicate: unlinked(a,c) must retract.
-  ASSERT_TRUE(ws.Insert("link", {Value::Str("a"), Value::Str("c")}).ok());
+  auto ins = ws.Apply({{"link", {Value::Str("a"), Value::Str("c")}}});
+  ASSERT_TRUE(ins.ok()) << ins.status().ToString();
   EXPECT_FALSE(Contains(ws, "unlinked", {Value::Str("a"), Value::Str("c")}));
   EXPECT_EQ(QuerySet(ws, "unlinked").size(), 3u);
+  EXPECT_EQ(ins->fixpoint.group_rederives, 0u);  // counted, not rederived
+  EXPECT_EQ(ins->fixpoint.retractions, 1u);
 
   // Delete from the negated predicate: unlinked(a,b) must appear.
   auto del = ws.Apply({}, {{"link", {Value::Str("a"), Value::Str("b")}}});
   ASSERT_TRUE(del.ok()) << del.status().ToString();
   EXPECT_TRUE(Contains(ws, "unlinked", {Value::Str("a"), Value::Str("b")}));
   EXPECT_EQ(QuerySet(ws, "unlinked").size(), 4u);
+  EXPECT_EQ(del->fixpoint.group_rederives, 0u);
 }
 
 TEST(CountingDeleteTest, BaseFactWithDerivedSupportSurvivesBaseDelete) {
@@ -401,6 +415,388 @@ TEST(CountingDeleteTest, GroupLocalDRedDoesNotReseedUnrelatedPredicates) {
   // The reseed covers the reachable group's inputs (links + entity
   // membership), not the 400 unrelated pairs.
   EXPECT_LT(del->fixpoint.rederive_seeded, 50u);
+}
+
+// -- negation flips on the counting path -----------------------------------
+
+/// Row (rendered) -> derivation-support count, per predicate.
+using SupportMap = std::map<std::string, std::map<std::string, uint32_t>>;
+
+SupportMap Supports(Workspace& ws, const std::vector<std::string>& preds) {
+  SupportMap out;
+  for (const std::string& name : preds) {
+    auto id = ws.catalog().Lookup(name);
+    EXPECT_TRUE(id.ok()) << name;
+    if (!id.ok()) continue;
+    Relation* rel = ws.GetRelation(id.value());
+    auto& rows = out[name];
+    for (const Tuple& t : rel->AllTuples()) {
+      rows[TupleToString(t, ws.catalog())] = rel->SupportCount(t);
+    }
+  }
+  return out;
+}
+
+uint32_t SupportOf(Workspace& ws, const std::string& pred,
+                   std::vector<Value> values) {
+  auto id = ws.catalog().Lookup(pred);
+  EXPECT_TRUE(id.ok()) << pred;
+  return id.ok() ? ws.GetRelation(id.value())->SupportCount(values) : 0;
+}
+
+TEST(NegationCountingTest, WildcardDoubleFlipRetractsOnce) {
+  // The path-vector loop check: two hops of one path arriving together
+  // flip !hop(P, U, _) once, so ext(P, U) loses its one support once.
+  Workspace ws;
+  Install(&ws, R"(
+    path(P) -> string(P).
+    nb(U) -> string(U).
+    hop(P, U, H) -> string(P), string(U), string(H).
+    ext(P, U) -> string(P), string(U).
+    ext(P, U) <- path(P), nb(U), !hop(P, U, _).
+  )");
+  ASSERT_TRUE(ws.Apply({{"path", {Value::Str("p")}},
+                        {"nb", {Value::Str("u")}}}).ok());
+  EXPECT_EQ(SupportOf(ws, "ext", {Value::Str("p"), Value::Str("u")}), 1u);
+
+  auto both = ws.Apply(
+      {{"hop", {Value::Str("p"), Value::Str("u"), Value::Str("a")}},
+       {"hop", {Value::Str("p"), Value::Str("u"), Value::Str("b")}}});
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  EXPECT_FALSE(Contains(ws, "ext", {Value::Str("p"), Value::Str("u")}));
+  EXPECT_EQ(both->fixpoint.retractions, 1u);
+  EXPECT_EQ(both->fixpoint.group_rederives, 0u);
+
+  // One hop left: still blocked. Both gone: back with exactly one support.
+  ASSERT_TRUE(ws.Apply({}, {{"hop", {Value::Str("p"), Value::Str("u"),
+                                     Value::Str("a")}}}).ok());
+  EXPECT_FALSE(Contains(ws, "ext", {Value::Str("p"), Value::Str("u")}));
+  ASSERT_TRUE(ws.Apply({}, {{"hop", {Value::Str("p"), Value::Str("u"),
+                                     Value::Str("b")}}}).ok());
+  EXPECT_EQ(SupportOf(ws, "ext", {Value::Str("p"), Value::Str("u")}), 1u);
+}
+
+TEST(NegationCountingTest, ManyFlipsSpreadOverChunks) {
+  // Hundreds of flipped keys: the variants are cut into several staged
+  // chunks, which run on the worker pool when SB_THREADS > 1.
+  Workspace ws;
+  Install(&ws, R"(
+    path(P) -> string(P).
+    nb(U) -> string(U).
+    hop(P, U, H) -> string(P), string(U), string(H).
+    ext(P, U) -> string(P), string(U).
+    ext(P, U) <- path(P), nb(U), !hop(P, U, _).
+  )");
+  const int n = 300;
+  std::vector<FactUpdate> base = {{"nb", {Value::Str("u")}},
+                                  {"nb", {Value::Str("v")}}};
+  std::vector<FactUpdate> hops;
+  for (int i = 0; i < n; ++i) {
+    const Value p = Value::Str("p" + std::to_string(i));
+    base.push_back({"path", {p}});
+    hops.push_back({"hop", {p, Value::Str("u"), Value::Str("h")}});
+  }
+  ASSERT_TRUE(ws.Apply(base).ok());
+  EXPECT_EQ(QuerySet(ws, "ext").size(), 2u * n);
+
+  auto on = ws.Apply(hops);
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  EXPECT_EQ(QuerySet(ws, "ext").size(), static_cast<size_t>(n));
+  EXPECT_EQ(on->fixpoint.retractions, static_cast<uint64_t>(n));
+  EXPECT_GT(on->fixpoint.parallel_tasks, 1u);
+
+  hops.resize(n / 2);
+  auto off = ws.Apply({}, hops);
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_EQ(QuerySet(ws, "ext").size(), static_cast<size_t>(n + n / 2));
+  EXPECT_EQ(off->fixpoint.group_rederives, 0u);
+}
+
+TEST(NegationCountingTest, NegAddAndPositiveDelOfOneInstantiation) {
+  // The same instantiation loses its positive literal and its negation in
+  // one transaction: it is destroyed once, not twice.
+  Workspace ws;
+  Install(&ws, R"(
+    a(X) -> string(X).
+    b(X) -> string(X).
+    n(X) -> string(X).
+    r(X) -> string(X).
+    r(X) <- a(X), !n(X).
+    r(X) <- b(X).
+  )");
+  ASSERT_TRUE(ws.Apply({{"a", {Value::Str("x")}},
+                        {"b", {Value::Str("x")}}}).ok());
+  EXPECT_EQ(SupportOf(ws, "r", {Value::Str("x")}), 2u);
+
+  auto tx = ws.Apply({{"n", {Value::Str("x")}}}, {{"a", {Value::Str("x")}}});
+  ASSERT_TRUE(tx.ok()) << tx.status().ToString();
+  EXPECT_EQ(SupportOf(ws, "r", {Value::Str("x")}), 1u);
+  EXPECT_EQ(tx->fixpoint.retractions, 1u);
+  EXPECT_EQ(tx->fixpoint.group_rederives, 0u);
+}
+
+TEST(NegationCountingTest, NegAddAndDeleteInOneTransaction) {
+  Workspace ws;
+  Install(&ws, R"(
+    a(X) -> string(X).
+    n(X, V) -> string(X), string(V).
+    r(X) -> string(X).
+    r(X) <- a(X), !n(X, _).
+  )");
+  ASSERT_TRUE(ws.Apply({{"a", {Value::Str("x")}}, {"a", {Value::Str("y")}},
+                        {"n", {Value::Str("y"), Value::Str("1")}},
+                        {"n", {Value::Str("z"), Value::Str("1")}}})
+                  .ok());
+  EXPECT_EQ(QuerySet(ws, "r"), std::set<std::string>{"(\"x\")"});
+
+  // x flips on, y flips off, z swaps its only row for another: no flip.
+  auto tx = ws.Apply({{"n", {Value::Str("x"), Value::Str("1")}},
+                      {"n", {Value::Str("z"), Value::Str("2")}}},
+                     {{"n", {Value::Str("y"), Value::Str("1")}},
+                      {"n", {Value::Str("z"), Value::Str("1")}}});
+  ASSERT_TRUE(tx.ok()) << tx.status().ToString();
+  EXPECT_EQ(QuerySet(ws, "r"), std::set<std::string>{"(\"y\")"});
+  EXPECT_EQ(SupportOf(ws, "r", {Value::Str("y")}), 1u);
+  EXPECT_EQ(tx->fixpoint.retractions, 1u);
+  EXPECT_EQ(tx->fixpoint.group_rederives, 0u);
+}
+
+TEST(NegationCountingTest, OffFlipEnablesInstantiation) {
+  Workspace ws;
+  Install(&ws, R"(
+    a(X, Y) -> string(X), string(Y).
+    n(X) -> string(X).
+    r(X) -> string(X).
+    r(X) <- a(X, Y), !n(Y).
+  )");
+  ASSERT_TRUE(ws.Apply({{"a", {Value::Str("x"), Value::Str("1")}},
+                        {"a", {Value::Str("x"), Value::Str("2")}},
+                        {"n", {Value::Str("1")}},
+                        {"n", {Value::Str("2")}}})
+                  .ok());
+  EXPECT_FALSE(Contains(ws, "r", {Value::Str("x")}));
+
+  auto one = ws.Apply({}, {{"n", {Value::Str("1")}}});
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(SupportOf(ws, "r", {Value::Str("x")}), 1u);
+  EXPECT_EQ(one->fixpoint.group_rederives, 0u);
+  auto two = ws.Apply({}, {{"n", {Value::Str("2")}}});
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+  EXPECT_EQ(SupportOf(ws, "r", {Value::Str("x")}), 2u);
+}
+
+TEST(NegationCountingTest, NegatedVariableBoundByAssignment) {
+  // The flip variant binds Y from the key first, so the assignment that
+  // bound it in written order becomes an equality filter.
+  Workspace ws;
+  Install(&ws, R"(
+    a(X) -> int(X).
+    n(X) -> int(X).
+    r(X) -> int(X).
+    r(X) <- a(X), Y = X + 1, !n(Y).
+  )");
+  ASSERT_TRUE(ws.Apply({{"a", {Value::Int(1)}}, {"a", {Value::Int(5)}}}).ok());
+  EXPECT_EQ(QuerySet(ws, "r").size(), 2u);
+  auto on = ws.Apply({{"n", {Value::Int(2)}}});
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  EXPECT_FALSE(Contains(ws, "r", {Value::Int(1)}));
+  EXPECT_TRUE(Contains(ws, "r", {Value::Int(5)}));
+  EXPECT_EQ(on->fixpoint.group_rederives, 0u);
+  auto off = ws.Apply({}, {{"n", {Value::Int(2)}}});
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_EQ(SupportOf(ws, "r", {Value::Int(1)}), 1u);
+}
+
+TEST(NegationCountingTest, TwoNegatedLiteralsFlipTogether) {
+  Workspace ws;
+  Install(&ws, R"(
+    a(X) -> string(X).
+    n(X) -> string(X).
+    m(X) -> string(X).
+    r(X) -> string(X).
+    r(X) <- a(X), !n(X), !m(X).
+  )");
+  ASSERT_TRUE(ws.Apply({{"a", {Value::Str("x")}}}).ok());
+  EXPECT_EQ(SupportOf(ws, "r", {Value::Str("x")}), 1u);
+
+  // Both literals flip on: one instantiation, retracted once.
+  auto on = ws.Apply({{"n", {Value::Str("x")}}, {"m", {Value::Str("x")}}});
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  EXPECT_FALSE(Contains(ws, "r", {Value::Str("x")}));
+  EXPECT_EQ(on->fixpoint.retractions, 1u);
+
+  // One flips off while the other stays on: still blocked.
+  ASSERT_TRUE(ws.Apply({}, {{"n", {Value::Str("x")}}}).ok());
+  EXPECT_FALSE(Contains(ws, "r", {Value::Str("x")}));
+  // Swap which one blocks: still blocked, no underflow.
+  auto swap = ws.Apply({{"n", {Value::Str("x")}}}, {{"m", {Value::Str("x")}}});
+  ASSERT_TRUE(swap.ok()) << swap.status().ToString();
+  EXPECT_FALSE(Contains(ws, "r", {Value::Str("x")}));
+
+  // Re-block with both, then both flip off together: one support.
+  ASSERT_TRUE(ws.Apply({{"m", {Value::Str("x")}}}).ok());
+  auto off = ws.Apply({}, {{"n", {Value::Str("x")}}, {"m", {Value::Str("x")}}});
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_EQ(SupportOf(ws, "r", {Value::Str("x")}), 1u);
+  EXPECT_EQ(off->fixpoint.group_rederives, 0u);
+}
+
+TEST(NegationCountingTest, RollbackAfterNegationRetractionRestoresSupports) {
+  Workspace ws;
+  Install(&ws, R"(
+    a(X) -> string(X).
+    c(X) -> string(X).
+    blk(X) -> string(X).
+    bad(X) -> string(X).
+    p(X) -> string(X).
+    p(X) <- a(X), !blk(X).
+    p(X) <- c(X).
+    bad(X) -> p(X).
+  )");
+  ASSERT_TRUE(ws.Apply({{"a", {Value::Str("x")}}, {"c", {Value::Str("x")}},
+                        {"bad", {Value::Str("x")}}})
+                  .ok());
+  EXPECT_EQ(SupportOf(ws, "p", {Value::Str("x")}), 2u);
+
+  // The flip drops one support, the delete the other: p(x) goes, bad(x)
+  // is left without it, and the whole transaction rolls back.
+  auto tx = ws.Apply({{"blk", {Value::Str("x")}}}, {{"c", {Value::Str("x")}}});
+  EXPECT_FALSE(tx.ok());
+  EXPECT_EQ(tx.status().code(), StatusCode::kConstraintViolation);
+  EXPECT_EQ(SupportOf(ws, "p", {Value::Str("x")}), 2u);
+  EXPECT_FALSE(Contains(ws, "blk", {Value::Str("x")}));
+
+  // The restored counts are exact: each support goes on its own.
+  ASSERT_TRUE(ws.Apply({{"blk", {Value::Str("x")}}}).ok());
+  EXPECT_EQ(SupportOf(ws, "p", {Value::Str("x")}), 1u);
+  ASSERT_TRUE(ws.Apply({}, {{"bad", {Value::Str("x")}},
+                            {"c", {Value::Str("x")}}}).ok());
+  EXPECT_FALSE(Contains(ws, "p", {Value::Str("x")}));
+}
+
+/// A random stratified program: a recursive closure `tc` over b1, then
+/// heads d0..d2, each from one or two non-recursive rules that join base
+/// or lower predicates and carry one or two negated literals with
+/// variables, wildcards and constants.
+std::string RandomNegationProgram(Xoshiro256& rng) {
+  std::string src = R"(
+    b1(X, Y) -> string(X), string(Y).
+    b2(X, Y) -> string(X), string(Y).
+    b3(X) -> string(X).
+    tc(X, Y) -> string(X), string(Y).
+    tc(X, Y) <- b1(X, Y).
+    tc(X, Y) <- b1(X, Z), tc(Z, Y).
+  )";
+  std::vector<std::string> binary = {"b1", "b2", "tc"};
+  auto pick = [&](const std::vector<std::string>& v) {
+    return v[rng.Uniform(v.size())];
+  };
+  for (int h = 0; h < 3; ++h) {
+    const std::string head = "d" + std::to_string(h);
+    src += head + "(X, Y) -> string(X), string(Y).\n";
+    const int rules = 1 + static_cast<int>(rng.Uniform(2));
+    for (int r = 0; r < rules; ++r) {
+      std::vector<std::string> vars = {"X", "Y"};
+      std::string body;
+      if (rng.Chance(0.5)) {
+        body = pick(binary) + "(X, Z), " + pick(binary) + "(Z, Y)";
+        vars.push_back("Z");
+      } else {
+        body = pick(binary) + "(X, Y)";
+      }
+      auto arg = [&]() -> std::string {
+        const uint64_t c = rng.Uniform(10);
+        if (c < 2) return "_";
+        if (c < 4) return "\"" + std::string(1, 'a' + rng.Uniform(3)) + "\"";
+        return pick(vars);
+      };
+      const int negs = 1 + static_cast<int>(rng.Uniform(2));
+      for (int k = 0; k < negs; ++k) {
+        if (rng.Chance(0.25)) {
+          body += ", !b3(" + arg() + ")";
+        } else {
+          body += ", !" + pick(binary) + "(" + arg() + ", " + arg() + ")";
+        }
+      }
+      src += head + "(X, Y) <- " + body + ".\n";
+    }
+    binary.push_back(head);
+  }
+  return src;
+}
+
+TEST(NegationCountingTest, DifferentialAgainstFreshWorkspace) {
+  const std::vector<std::string> preds = {"b1", "b2", "b3", "tc",
+                                          "d0", "d1", "d2"};
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Xoshiro256 rng(seed);
+    const std::string src = RandomNegationProgram(rng);
+    SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + src);
+    Workspace ws;
+    Install(&ws, src);
+
+    // Base facts as (pred, values); the model the fresh workspace gets.
+    using Fact = std::pair<std::string, std::vector<std::string>>;
+    std::set<Fact> base;
+    auto random_fact = [&]() -> Fact {
+      const std::string pred = std::string("b") +
+                               static_cast<char>('1' + rng.Uniform(3));
+      std::vector<std::string> vals;
+      for (int i = 0; i < (pred == "b3" ? 1 : 2); ++i) {
+        vals.push_back(std::string(1, 'a' + rng.Uniform(3)));
+      }
+      return {pred, vals};
+    };
+    auto update = [](const Fact& f) {
+      FactUpdate u{f.first, {}};
+      for (const std::string& v : f.second) u.values.push_back(Value::Str(v));
+      return u;
+    };
+
+    for (int round = 0; round < 12; ++round) {
+      // Every transaction both inserts and deletes (once base facts
+      // exist), so both sides of a negation move together.
+      std::vector<FactUpdate> ins;
+      std::vector<FactUpdate> del;
+      std::set<Fact> added;
+      std::set<Fact> removed;
+      const int ops = 2 + static_cast<int>(rng.Uniform(5));
+      for (int op = 0; op < ops; ++op) {
+        const bool want_delete = op % 2 == 1 || rng.Chance(0.3);
+        if (want_delete && !base.empty()) {
+          auto it = base.begin();
+          std::advance(it, rng.Uniform(base.size()));
+          removed.insert(*it);
+          del.push_back(update(*it));
+        } else {
+          Fact f = random_fact();
+          added.insert(f);
+          ins.push_back(update(f));
+        }
+      }
+      bool b1_deleted = false;
+      for (const Fact& f : removed) {
+        base.erase(f);
+        b1_deleted |= f.first == "b1";
+      }
+      base.insert(added.begin(), added.end());  // deletes apply first
+
+      auto commit = ws.Apply(ins, del);
+      ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+      // Only the recursive closure may rederive, and only on a b1 delete.
+      if (!b1_deleted) {
+        EXPECT_EQ(commit->fixpoint.group_rederives, 0u);
+      }
+
+      Workspace fresh;
+      Install(&fresh, src);
+      std::vector<FactUpdate> all;
+      for (const Fact& f : base) all.push_back(update(f));
+      ASSERT_TRUE(fresh.Apply(all).ok());
+      ASSERT_EQ(Supports(ws, preds), Supports(fresh, preds))
+          << "after round " << round;
+    }
+  }
 }
 
 }  // namespace

@@ -12,18 +12,17 @@ namespace {
 using policy::AuthScheme;
 using policy::EncScheme;
 
-void ExpectRoutesMatchBfs(const PathVectorConfig& config) {
-  auto result = RunPathVector(config);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->metrics.rejected_batches, 0u);
+void ExpectRoutesMatchBfs(const PathVectorConfig& config,
+                          const PathVectorResult& result) {
+  EXPECT_EQ(result.metrics.rejected_batches, 0u);
 
   auto edges = RandomConnectedGraph(config.num_nodes, config.avg_degree,
                                     config.graph_seed);
   auto reference = ReferenceHopCounts(config.num_nodes, edges);
 
   for (size_t i = 0; i < config.num_nodes; ++i) {
-    std::map<size_t, int64_t> got(result->best_costs[i].begin(),
-                                  result->best_costs[i].end());
+    std::map<size_t, int64_t> got(result.best_costs[i].begin(),
+                                  result.best_costs[i].end());
     for (size_t j = 0; j < config.num_nodes; ++j) {
       if (i == j) continue;
       ASSERT_TRUE(got.count(j))
@@ -32,6 +31,12 @@ void ExpectRoutesMatchBfs(const PathVectorConfig& config) {
           << "route " << i << "->" << j << " cost mismatch";
     }
   }
+}
+
+void ExpectRoutesMatchBfs(const PathVectorConfig& config) {
+  auto result = RunPathVector(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectRoutesMatchBfs(config, *result);
 }
 
 TEST(PathVectorTest, GraphGeneratorProperties) {
@@ -98,6 +103,27 @@ TEST_P(PathVectorSeedSweep, RoutesEqualBfsOnRandomGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathVectorSeedSweep,
                          ::testing::Values(11, 22, 33, 44, 55));
+
+TEST(PathVectorTest, LoopCheckFlipsAreCountedNotRederived) {
+  // Every pathlink arrival flips the extension rule's loop check
+  // !pathlink(P, U, _). The flips are maintained by counting: no node runs
+  // group-local DRed, and the routes still equal BFS.
+  PathVectorConfig config;
+  config.num_nodes = 8;
+  config.graph_seed = 33;
+  config.rsa_bits = 512;
+  config.compute_scale = 0;
+  config.max_batch_delay_s = 0.001;
+  auto result = RunPathVector(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->engine_stats.size(), config.num_nodes);
+  uint64_t rederives = 0;
+  for (const auto& stats : result->engine_stats) {
+    rederives += stats.group_rederives;
+  }
+  EXPECT_EQ(rederives, 0u);
+  ExpectRoutesMatchBfs(config, *result);
+}
 
 TEST(PathVectorTest, MetricsArePopulated) {
   PathVectorConfig config;
