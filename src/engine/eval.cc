@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "engine/planner.h"
+
 namespace secureblox::engine {
 
 using datalog::Atom;
@@ -455,6 +457,17 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
     }
   }
   ComputeProbeInfo(&out.steps);
+  // The body's slots; head existentials add more below.
+  out.num_slots = slots.size();
+  for (size_t k = 0; k < out.neg_preds.size(); ++k) {
+    out.neg_steps.push_back(DeltaFirstSteps(
+        out, out.num_scan_occurrences + static_cast<int>(k)));
+    if (out.neg_steps.back().empty()) {
+      return Status::CompileError(
+          "cannot order negated literal " + std::to_string(k + 1) +
+          " first: " + rule.ToString());
+    }
+  }
 
   if (rule.agg.has_value()) {
     if (rule.heads.size() != 1 || !rule.heads[0].functional) {

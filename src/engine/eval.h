@@ -169,6 +169,11 @@ struct CompiledRule {
   /// counting maintenance can read it through an OccView (the pre-change
   /// state) or run it as a flipped-key variant (engine/fixpoint.h).
   std::vector<datalog::PredId> neg_preds;
+  /// Written-order steps of each negated occurrence's variant, parallel to
+  /// neg_preds: the literal moved first as a scan of its flipped keys, the
+  /// rest rebound in place (DeltaFirstSteps) — what the fixpoint runs when
+  /// planning is off or the planner declines.
+  std::vector<std::vector<Step>> neg_steps;
   // Head existentials.
   std::vector<int> existential_slots;
   std::vector<datalog::PredId> existential_types;

@@ -6,6 +6,7 @@
 #include <set>
 #include <thread>
 #include <tuple>
+#include <unordered_map>
 
 #include "engine/planner.h"
 
@@ -106,6 +107,7 @@ FixpointDriver::~FixpointDriver() = default;
 void FixpointDriver::Begin() {
   delta_.assign(graph_.groups().size(), {});
   neg_.assign(graph_.groups().size(), {});
+  rises_.clear();
   active_.clear();
   touched_.clear();
   stats_ = {};
@@ -246,19 +248,32 @@ Status FixpointDriver::RunStratum(int stratum) {
     }
   }
 
-  // Sweep the stratum's groups in topological order, retractions ahead of
-  // the insert rounds. Each pending group anchors a wave of concurrently
-  // evaluable groups (CollectWave) that is drained to its local fixpoint;
-  // a later group deriving into an earlier one re-arms the scan.
+  // Sweep the stratum's groups in topological order: first every pending
+  // retraction, then the insert rounds. All the supports that fall in a
+  // sweep fall before any rises (the rises of counting retractions wait
+  // in rises_ until the retractions are done), so a functional head whose
+  // value moves from one rule or instantiation to another never holds
+  // both values at once. Each group with an insert delta anchors a wave
+  // of concurrently evaluable groups (CollectWave) that is drained to its
+  // local fixpoint; retract work that waves raise, or a later group
+  // deriving into an earlier one, re-arms the sweep.
   const std::vector<int>& order = graph_.groups_in_stratum(stratum);
   bool any = true;
   while (any) {
     any = false;
-    for (size_t i = 0; i < order.size(); ++i) {
-      int gid = order[i];
+    for (int gid : order) {
       if (HasRetractWork(gid)) {
         any = true;
         SB_RETURN_IF_ERROR(ProcessRetractions(gid));
+      }
+    }
+    SB_RETURN_IF_ERROR(ApplyRises());
+    for (size_t i = 0; i < order.size(); ++i) {
+      int gid = order[i];
+      // Retractions run before insert rounds: back to the first pass.
+      if (HasRetractWork(gid)) {
+        any = true;
+        break;
       }
       if (!delta_[gid].adds.empty()) {
         any = true;
@@ -386,7 +401,7 @@ void FixpointDriver::StageOccurrence(
   // building and stats seeding stay deterministic. One plan serves both
   // the insert and the retract direction of a variant: the step order is
   // cardinality-driven, the delta routing is per occurrence.
-  const std::vector<Step>* steps = VariantSteps(rule, rule_idx, occ);
+  const std::vector<Step>* steps = VariantSteps(rule, occ);
   WarmSteps(*steps);
   // Chunks are cut on the delta relation's shard boundaries: one partition
   // per shard (relative delta order preserved within each), windowed so a
@@ -443,17 +458,12 @@ void FixpointDriver::StageOccurrence(
 }
 
 const std::vector<Step>* FixpointDriver::VariantSteps(const CompiledRule& rule,
-                                                      size_t rule_idx,
                                                       int occ) {
   if (ExecPlanner* pl = planner()) {
     if (const VariantPlan* vp = pl->PlanFor(rule, occ)) return &vp->steps;
   }
   if (occ < rule.num_scan_occurrences) return &rule.steps;
-  // A negated occurrence's variant starts from its flipped keys even in
-  // written order (the planner is off, or declined).
-  std::vector<Step>& steps = delta_first_[{rule_idx, occ}];
-  if (steps.empty()) steps = DeltaFirstSteps(rule, occ);
-  return &steps;
+  return &rule.neg_steps[occ - rule.num_scan_occurrences];
 }
 
 ExecPlanner* FixpointDriver::planner() {
@@ -546,22 +556,75 @@ Status FixpointDriver::ApplyStagedTasks(
     std::vector<std::unique_ptr<EnumTask>>& tasks, size_t begin, size_t end) {
   for (size_t i = begin; i < end; ++i) {
     EnumTask& t = *tasks[i];
-    if (!t.retract) {
-      for (auto& [pred, tuple] : t.pending) {
-        SB_ASSIGN_OR_RETURN(bool inserted, host_.InsertHeadTuple(pred, tuple));
-        if (inserted) ++stats_.derivations;
-      }
-    } else {
-      for (auto& [pred, tuple] : t.pending) {
-        ++stats_.retractions;
-        SB_ASSIGN_OR_RETURN(bool erased, host_.RetractSupport(pred, tuple));
-        if (erased) {
-          ++stats_.deleted;
-        } else {
-          ++stats_.rescued;
-        }
-      }
+    for (auto& [pred, tuple] : t.pending) {
+      SB_RETURN_IF_ERROR(t.retract ? Retract(pred, tuple)
+                                   : Derive(pred, tuple));
     }
+  }
+  return Status::OK();
+}
+
+Status FixpointDriver::ApplyRetractRound(
+    int gid, std::vector<std::unique_ptr<EnumTask>>& tasks) {
+  const bool rises = std::any_of(
+      tasks.begin(), tasks.end(),
+      [](const std::unique_ptr<EnumTask>& t) { return !t->retract; });
+  if (!rises) return ApplyStagedTasks(tasks, 0, tasks.size());
+  // Net the round per head tuple, in first-staged order: an instantiation
+  // created by one flip and destroyed by another change of the same
+  // transaction leaves no trace, and no head holds its old and its new
+  // value at once. Counting is exact, so no net fall exceeds the support.
+  std::map<PredId, std::unordered_map<Tuple, int64_t, TupleHash>> net;
+  std::vector<std::pair<PredId, std::pair<const Tuple, int64_t>*>> order;
+  for (auto& t : tasks) {
+    for (auto& [pred, tuple] : t->pending) {
+      auto [it, fresh] = net[pred].try_emplace(std::move(tuple), 0);
+      if (fresh) order.emplace_back(pred, &*it);
+      it->second += t->retract ? -1 : 1;
+    }
+  }
+  std::vector<std::pair<PredId, Tuple>> up;
+  for (const auto& [pred, entry] : order) {
+    for (int64_t c = entry->second; c < 0; ++c) {
+      SB_RETURN_IF_ERROR(Retract(pred, entry->first));
+    }
+    for (int64_t c = 0; c < entry->second; ++c) {
+      up.emplace_back(pred, entry->first);
+    }
+  }
+  if (!up.empty()) rises_.emplace_back(gid, std::move(up));
+  return Status::OK();
+}
+
+Status FixpointDriver::ApplyRises() {
+  std::vector<std::pair<int, std::vector<std::pair<PredId, Tuple>>>> rises =
+      std::move(rises_);
+  rises_.clear();
+  for (const auto& [gid, heads] : rises) {
+    // The group's own head churn must not flip its own negation probes,
+    // as during its retraction round.
+    ActiveSetGuard guard(&active_);
+    guard.Add(gid);
+    for (const auto& [pred, tuple] : heads) {
+      SB_RETURN_IF_ERROR(Derive(pred, tuple));
+    }
+  }
+  return Status::OK();
+}
+
+Status FixpointDriver::Derive(PredId pred, const Tuple& tuple) {
+  SB_ASSIGN_OR_RETURN(bool inserted, host_.InsertHeadTuple(pred, tuple));
+  if (inserted) ++stats_.derivations;
+  return Status::OK();
+}
+
+Status FixpointDriver::Retract(PredId pred, const Tuple& tuple) {
+  ++stats_.retractions;
+  SB_ASSIGN_OR_RETURN(bool erased, host_.RetractSupport(pred, tuple));
+  if (erased) {
+    ++stats_.deleted;
+  } else {
+    ++stats_.rescued;
   }
   return Status::OK();
 }
@@ -679,36 +742,50 @@ Status FixpointDriver::ProcessRetractions(int gid) {
   // locally.
   if (group.recursive) return RederiveCluster(gid);
 
-  // Counting path: the group is a single rule. Negation flips go first,
-  // against the positive state its supports were counted in; then the
-  // destroyed instantiations of the delete deltas, with negations read in
-  // the new state; the insert rounds follow. Enumeration runs on the pool
-  // (same phase split as a wave round — supports move in the merge
-  // phase). The group's own head churn must not flip its own negation
-  // probes (derivation-time semantics, as in its insert rounds).
+  // Counting path: the group is a single rule. One round moves its
+  // supports from the counted state to the new one: the negation flips,
+  // read against the counted positive state (pending dels restored,
+  // unconsumed adds hidden), then the destroyed instantiations of the
+  // delete deltas, with negations read in the new state. Both stage into
+  // one task list, netted per head tuple when applied; the insert rounds
+  // follow. Enumeration runs on the pool (same phase split as a wave
+  // round — supports move in the merge phase). The group's own head churn
+  // must not flip its own negation probes (derivation-time semantics, as
+  // in its insert rounds).
   EnsureRelations();
   ActiveSetGuard guard(&active_);
   guard.Add(gid);
-  if (!neg_[gid].empty()) SB_RETURN_IF_ERROR(RunNegationRound(gid));
-  if (delta_[gid].dels.empty()) return Status::OK();
+  // The views point into `neg`, `dels` and `keys`: they outlive the tasks.
+  ChangeQueue neg = std::move(neg_[gid]);
+  neg_[gid].clear();
   DeltaMap dels = std::move(delta_[gid].dels);
   delta_[gid].dels.clear();
+  std::deque<std::vector<Tuple>> keys;
   ++stats_.rounds;
   std::vector<std::unique_ptr<EnumTask>> tasks;
   for (size_t idx : group.rules) {
     const CompiledRule& rule = rules_[idx];
+    const size_t staged = tasks.size();
+    if (!neg.empty()) {
+      StageNegationFlips(rule, idx, gid, neg, dels, &keys, &tasks);
+    }
     if (HasDeltaFor(rule, dels)) {
-      ++stats_.retract_firings;
       StageVariantTasks(rule, idx, gid, dels, /*retract=*/true, &tasks);
+    }
+    if (tasks.size() > staged) {
+      ++stats_.retract_firings;
     } else {
       ++stats_.firings_skipped;
     }
   }
   SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
-  return ApplyStagedTasks(tasks, 0, tasks.size());
+  return ApplyRetractRound(gid, tasks);
 }
 
-Status FixpointDriver::RunNegationRound(int gid) {
+void FixpointDriver::StageNegationFlips(
+    const CompiledRule& rule, size_t rule_idx, int gid, const ChangeQueue& neg,
+    const DeltaMap& pending_dels, std::deque<std::vector<Tuple>>* keys,
+    std::vector<std::unique_ptr<EnumTask>>* tasks) {
   // Counting maintenance of negation (Gupta, Mumick & Subrahmanian,
   // SIGMOD 1993). The supports count instantiations in the *counted*
   // state: positive occurrences without the unconsumed insert deltas and
@@ -718,71 +795,47 @@ Status FixpointDriver::RunNegationRound(int gid) {
   // change: variant k reads earlier negated occurrences new and later ones
   // old, and enumerates exactly the instantiations whose k-th literal
   // flipped.
-  ChangeQueue neg = std::move(neg_[gid]);
-  neg_[gid].clear();
-  ++stats_.rounds;
   const DeltaMap& unconsumed = delta_[gid].adds;
-  const DeltaMap& pending_dels = delta_[gid].dels;
-  // Flipped keys outlive staging: tasks point into them.
-  std::deque<std::vector<Tuple>> keys;
-  std::vector<std::unique_ptr<EnumTask>> creates;
-  std::vector<std::unique_ptr<EnumTask>> destroys;
-  for (size_t idx : graph_.group(gid).rules) {
-    const CompiledRule& rule = rules_[idx];
-    const int n = rule.num_scan_occurrences;
-    // Aggregate heads carry no derivation supports (recompute-managed).
-    const int m =
-        rule.agg.has_value() ? 0 : static_cast<int>(rule.neg_preds.size());
-    bool fired = false;
-    for (int k = 0; k < m; ++k) {
-      std::vector<Tuple> on;
-      std::vector<Tuple> off;
-      FlippedKeys(rule, n + k, neg, &on, &off);
-      if (on.empty() && off.empty()) continue;
-      fired = true;
-      auto excl = std::make_shared<std::vector<TupleSet>>(n + m);
-      auto views = std::make_shared<std::vector<OccView>>(n + m);
-      auto view_change = [&](int occ, PredId pred, const DeltaMap& erased,
-                             const DeltaMap& added) {
-        auto e = erased.find(pred);
-        if (e != erased.end()) (*views)[occ].extra = &e->second;
-        auto a = added.find(pred);
-        if (a != added.end() && !a->second.empty()) {
-          (*excl)[occ].insert(a->second.begin(), a->second.end());
-          (*views)[occ].exclude = &(*excl)[occ];
-        }
-      };
-      for (int j = 0; j < n; ++j) {
-        view_change(j, rule.scan_preds[j], pending_dels, unconsumed);
+  const int n = rule.num_scan_occurrences;
+  // Aggregate heads carry no derivation supports (recompute-managed).
+  const int m =
+      rule.agg.has_value() ? 0 : static_cast<int>(rule.neg_preds.size());
+  for (int k = 0; k < m; ++k) {
+    std::vector<Tuple> on;
+    std::vector<Tuple> off;
+    FlippedKeys(rule, n + k, neg, &on, &off);
+    if (on.empty() && off.empty()) continue;
+    auto excl = std::make_shared<std::vector<TupleSet>>(n + m);
+    auto views = std::make_shared<std::vector<OccView>>(n + m);
+    auto view_change = [&](int occ, PredId pred, const DeltaMap& erased,
+                           const DeltaMap& added) {
+      auto e = erased.find(pred);
+      if (e != erased.end()) (*views)[occ].extra = &e->second;
+      auto a = added.find(pred);
+      if (a != added.end() && !a->second.empty()) {
+        (*excl)[occ].insert(a->second.begin(), a->second.end());
+        (*views)[occ].exclude = &(*excl)[occ];
       }
-      for (int j = k + 1; j < m; ++j) {
-        view_change(n + j, rule.neg_preds[j], neg.dels, neg.adds);
-      }
-      // An off key (last match gone) creates instantiations, an on key
-      // (first match arrived) destroys them.
-      if (!off.empty()) {
-        keys.push_back(std::move(off));
-        StageOccurrence(rule, idx, gid, n + k, /*retract=*/false, keys.back(),
-                        views, excl, &creates);
-      }
-      if (!on.empty()) {
-        keys.push_back(std::move(on));
-        StageOccurrence(rule, idx, gid, n + k, /*retract=*/true, keys.back(),
-                        views, excl, &destroys);
-      }
+    };
+    for (int j = 0; j < n; ++j) {
+      view_change(j, rule.scan_preds[j], pending_dels, unconsumed);
     }
-    if (fired) {
-      ++stats_.retract_firings;
-    } else {
-      ++stats_.firings_skipped;
+    for (int j = k + 1; j < m; ++j) {
+      view_change(n + j, rule.neg_preds[j], neg.dels, neg.adds);
+    }
+    // An off key (last match gone) creates instantiations, an on key
+    // (first match arrived) destroys them.
+    if (!off.empty()) {
+      keys->push_back(std::move(off));
+      StageOccurrence(rule, rule_idx, gid, n + k, /*retract=*/false,
+                      keys->back(), views, excl, tasks);
+    }
+    if (!on.empty()) {
+      keys->push_back(std::move(on));
+      StageOccurrence(rule, rule_idx, gid, n + k, /*retract=*/true,
+                      keys->back(), views, excl, tasks);
     }
   }
-  // Supports rise before they fall, so no tuple whose final count is
-  // positive is erased and re-inserted on the way.
-  std::vector<std::unique_ptr<EnumTask>>& tasks = creates;
-  for (auto& t : destroys) tasks.push_back(std::move(t));
-  SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
-  return ApplyStagedTasks(tasks, 0, tasks.size());
 }
 
 void FixpointDriver::FlippedKeys(const CompiledRule& rule, int occ,
@@ -927,8 +980,7 @@ Status FixpointDriver::RunRuleVariants(const CompiledRule& rule,
   }
 
   for (auto& [pred, tuple] : pending) {
-    SB_ASSIGN_OR_RETURN(bool inserted, host_.InsertHeadTuple(pred, tuple));
-    if (inserted) ++stats_.derivations;
+    SB_RETURN_IF_ERROR(Derive(pred, tuple));
   }
   return Status::OK();
 }
@@ -956,12 +1008,14 @@ Status FixpointDriver::RederiveCluster(int gid) {
 
   ActiveSetGuard guard(&active_);
   for (int g : cluster) guard.Add(g);
-  // Pending deltas and flips for cluster members are superseded by the
-  // full local recompute.
+  // Pending deltas, flips and rises for cluster members are superseded by
+  // the full local recompute.
   for (int g : cluster) {
     delta_[g].clear();
     neg_[g].clear();
   }
+  std::erase_if(rises_,
+                [&](const auto& r) { return cluster.count(r.first) > 0; });
   for (PredId p : cpreds) {
     SB_ASSIGN_OR_RETURN(uint64_t over_deleted, host_.OverDeleteDerived(p));
     // Rederiving what was just over-deleted is not runaway work.

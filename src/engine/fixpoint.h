@@ -44,17 +44,20 @@
 // keep exact via mixed semi-naïve variants. Delete deltas and negation
 // flips are processed per group:
 //   - non-recursive groups (single rules) maintain their supports by
-//     counting. Negation flips go first: each negated literal's queued
-//     adds and dels are projected onto its non-wildcard columns, and a key
-//     whose match status changed runs as a variant whose first step scans
-//     it — a key that gained its first match destroys instantiations (one
-//     support dropped each), a key that lost its last match creates them
-//     (one support added each). Then the destroyed instantiations of the
-//     delete deltas (the delta at one occurrence, erased tuples restored
-//     at later occurrences) drop one support each. A tuple whose support
-//     reaches zero — and that is not a base fact — is erased and cascades
-//     downstream. Both enumerations are chunked onto the pool like the
-//     insert path;
+//     counting, in one round per group. Negation flips: each negated
+//     literal's queued adds and dels are projected onto its non-wildcard
+//     columns, and a key whose match status changed runs as a variant
+//     whose first step scans it — a key that gained its first match
+//     destroys instantiations (one support dropped each), a key that lost
+//     its last match creates them (one support added each). Delete deltas:
+//     their destroyed instantiations (the delta at one occurrence, erased
+//     tuples restored at later occurrences) drop one support each. The
+//     round nets the changes per head tuple; net falls apply at once, net
+//     rises after every retraction of the stratum sweep, so a functional
+//     head never holds its old and new value together. A tuple whose
+//     support reaches zero — and that is not a base fact — is erased and
+//     cascades downstream. The enumerations are chunked onto the pool like
+//     the insert path;
 //   - recursive groups fall back to group-local DRed: over-delete the
 //     closure of groups sharing head predicates, reseed just those groups
 //     from their body predicates, and re-run them to a local fixpoint (the
@@ -71,6 +74,7 @@
 #define SECUREBLOX_ENGINE_FIXPOINT_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <unordered_set>
@@ -278,12 +282,19 @@ class FixpointDriver {
   Status RunRuleVariants(const CompiledRule& rule, const DeltaMap& delta,
                          int gid);
   /// Counting retraction / group-local DRed dispatch for one group's
-  /// pending delete deltas and negation flips.
+  /// pending delete deltas and negation flips. On the counting path the
+  /// supports that fall are dropped here; those that rise wait in rises_.
   Status ProcessRetractions(int gid);
-  /// Counting maintenance of one non-recursive group's negation flips:
-  /// drops the supports of destroyed instantiations and adds those of
-  /// created ones. Consumes neg_[gid].
-  Status RunNegationRound(int gid);
+  /// Stage the counting variants of one rule's negation flips (consumed
+  /// from `neg`) into `tasks`: a key that gained its first match destroys
+  /// instantiations (retract tasks), one that lost its last match creates
+  /// them (insert tasks). Positive occurrences read the counted state —
+  /// `pending_dels` restored, unconsumed adds hidden. Flipped keys are
+  /// kept in `keys`, which must outlive the tasks.
+  void StageNegationFlips(const CompiledRule& rule, size_t rule_idx, int gid,
+                          const ChangeQueue& neg, const DeltaMap& pending_dels,
+                          std::deque<std::vector<Tuple>>* keys,
+                          std::vector<std::unique_ptr<EnumTask>>* tasks);
   /// The keys of negated occurrence `occ` whose match status flipped
   /// between the old state (relation minus `neg`'s adds plus its dels) and
   /// the current one: `on` gained a first match, `off` lost the last.
@@ -331,11 +342,10 @@ class FixpointDriver {
                        const std::shared_ptr<std::vector<TupleSet>>& excl,
                        std::vector<std::unique_ptr<EnumTask>>* tasks);
   /// Steps for the variant at `occ`: the cached plan, else the written
-  /// order — moved delta-first for a negated occurrence (DeltaFirstSteps).
-  /// The pointer stays valid for the driver's lifetime or until the plan
-  /// is rebuilt in a later staging phase.
-  const std::vector<Step>* VariantSteps(const CompiledRule& rule,
-                                        size_t rule_idx, int occ);
+  /// order — for a negated occurrence CompiledRule::neg_steps, which scans
+  /// the flipped keys first. The pointer stays valid for the driver's
+  /// lifetime or until the plan is rebuilt in a later staging phase.
+  const std::vector<Step>* VariantSteps(const CompiledRule& rule, int occ);
   /// Run staged tasks on the pool (inline when threads=1, and always for
   /// rules with side effects); fails with the first task error in staging
   /// order.
@@ -355,6 +365,17 @@ class FixpointDriver {
   /// RetractSupport for retract tasks.
   Status ApplyStagedTasks(std::vector<std::unique_ptr<EnumTask>>& tasks,
                           size_t begin, size_t end);
+  /// Apply one counting retraction round of group `gid`: net the staged
+  /// +1/-1 per head tuple, drop the net falls now and queue the net rises
+  /// in rises_.
+  Status ApplyRetractRound(int gid,
+                           std::vector<std::unique_ptr<EnumTask>>& tasks);
+  /// Insert the queued rises, each group's under that group's active mark.
+  Status ApplyRises();
+  /// One derivation support for a head tuple / one support dropped, with
+  /// the derivation and deletion counters.
+  Status Derive(datalog::PredId pred, const Tuple& tuple);
+  Status Retract(datalog::PredId pred, const Tuple& tuple);
   WorkerPool* pool();
 
   const RuleGraph& graph_;
@@ -379,9 +400,12 @@ class FixpointDriver {
   FixpointStats stats_;
   /// max_derivations plus this run's seeded/rederived volume.
   uint64_t budget_limit_ = 0;
-  /// Written-order negation variants by (rule index, occurrence), built on
-  /// first use (VariantSteps).
-  std::map<std::pair<size_t, int>, std::vector<Step>> delta_first_;
+  /// Head supports that rise in counting retraction rounds (instantiations
+  /// an off-flipped negation enabled), by group, held back until every
+  /// pending retraction of the stratum sweep has dropped its supports
+  /// (RunStratum).
+  std::vector<std::pair<int, std::vector<std::pair<datalog::PredId, Tuple>>>>
+      rises_;
   bool relations_ensured_ = false;
   std::unique_ptr<WorkerPool> pool_;
   std::unique_ptr<ExecPlanner> planner_;

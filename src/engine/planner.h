@@ -43,7 +43,9 @@ namespace secureblox::engine {
 /// `rule`'s written-order steps with occurrence `occ` moved first and
 /// forced to a scan, the rest rebound in place — the planner-off form of a
 /// negated occurrence's variant, which must start from its flipped keys.
-/// Empty when `occ` names no step.
+/// Built once per negated literal by RuleCompiler::CompileRule
+/// (CompiledRule::neg_steps). Empty when `occ` names no step or a step
+/// cannot be rebound; the compiler rejects such a rule.
 std::vector<Step> DeltaFirstSteps(const CompiledRule& rule, int occ);
 
 class ExecPlanner {

@@ -674,10 +674,138 @@ TEST(NegationCountingTest, RollbackAfterNegationRetractionRestoresSupports) {
   EXPECT_FALSE(Contains(ws, "p", {Value::Str("x")}));
 }
 
+// -- functional heads: a value that moves never holds both values --------
+
+TEST(NegationCountingTest, FunctionalHeadFollowsNegationSwap) {
+  // The negation swaps which row it blocks: f[x] moves from 2 to 3. The
+  // old value's support drops before the new one's rises.
+  Workspace ws;
+  Install(&ws, R"(
+    a(X, V) -> string(X), int(V).
+    n(X, V) -> string(X), int(V).
+    f[X] = V -> string(X), int(V).
+    f[X] = V <- a(X, V), !n(X, V).
+  )");
+  ASSERT_TRUE(ws.Apply({{"a", {Value::Str("x"), Value::Int(2)}},
+                        {"a", {Value::Str("x"), Value::Int(3)}},
+                        {"n", {Value::Str("x"), Value::Int(3)}}})
+                  .ok());
+  EXPECT_TRUE(Contains(ws, "f", {Value::Str("x"), Value::Int(2)}));
+
+  auto swap = ws.Apply({{"n", {Value::Str("x"), Value::Int(2)}}},
+                       {{"n", {Value::Str("x"), Value::Int(3)}}});
+  ASSERT_TRUE(swap.ok()) << swap.status().ToString();
+  EXPECT_EQ(QuerySet(ws, "f"), std::set<std::string>{"(\"x\", 3)"});
+  EXPECT_EQ(SupportOf(ws, "f", {Value::Str("x"), Value::Int(3)}), 1u);
+  EXPECT_EQ(swap->fixpoint.group_rederives, 0u);
+}
+
+TEST(NegationCountingTest, UnblockedRowDeletedInSameTransaction) {
+  // a(x, 1) is blocked by n(x); both go in one transaction. The row the
+  // negation would have unblocked is gone, so f[x] keeps the other rule's
+  // value and never holds 1, even for a moment.
+  Workspace ws;
+  Install(&ws, R"(
+    a(X, V) -> string(X), int(V).
+    b(X, V) -> string(X), int(V).
+    n(X) -> string(X).
+    f[X] = V -> string(X), int(V).
+    f[X] = V <- b(X, V).
+    f[X] = V <- a(X, V), !n(X).
+  )");
+  ASSERT_TRUE(ws.Apply({{"a", {Value::Str("x"), Value::Int(1)}},
+                        {"b", {Value::Str("x"), Value::Int(2)}},
+                        {"n", {Value::Str("x")}}})
+                  .ok());
+  auto tx = ws.Apply({}, {{"a", {Value::Str("x"), Value::Int(1)}},
+                          {"n", {Value::Str("x")}}});
+  ASSERT_TRUE(tx.ok()) << tx.status().ToString();
+  EXPECT_EQ(QuerySet(ws, "f"), std::set<std::string>{"(\"x\", 2)"});
+  EXPECT_EQ(SupportOf(ws, "f", {Value::Str("x"), Value::Int(2)}), 1u);
+}
+
+TEST(NegationCountingTest, FunctionalHeadMovesBetweenRules) {
+  // f[x] moves from one rule's value to the other's in one transaction:
+  // by a negation flip, and by a plain insert. Every support that falls
+  // in a stratum falls before any rises, whichever rule's group the
+  // topological order visits first — so both install orders commit.
+  for (bool b_first : {true, false}) {
+    SCOPED_TRACE(b_first ? "b rule first" : "a rule first");
+    const std::string rule_a = "f[X] = V <- a(X, V), !n(X).\n";
+    const std::string rule_b = "f[X] = V <- b(X, V).\n";
+    Workspace ws;
+    Install(&ws, std::string(R"(
+      a(X, V) -> string(X), int(V).
+      b(X, V) -> string(X), int(V).
+      c(X, V) -> string(X), int(V).
+      n(X) -> string(X).
+      f[X] = V -> string(X), int(V).
+      f[X] = V <- c(X, V).
+    )") + (b_first ? rule_b + rule_a : rule_a + rule_b));
+    ASSERT_TRUE(ws.Apply({{"a", {Value::Str("x"), Value::Int(1)}},
+                          {"b", {Value::Str("x"), Value::Int(2)}},
+                          {"n", {Value::Str("x")}}})
+                    .ok());
+
+    // The negation flips off while the other rule's row goes.
+    auto flip = ws.Apply({}, {{"b", {Value::Str("x"), Value::Int(2)}},
+                              {"n", {Value::Str("x")}}});
+    ASSERT_TRUE(flip.ok()) << flip.status().ToString();
+    EXPECT_EQ(QuerySet(ws, "f"), std::set<std::string>{"(\"x\", 1)"});
+    EXPECT_EQ(flip->fixpoint.group_rederives, 0u);
+
+    // A plain insert into one rule while the other's row goes.
+    auto move = ws.Apply({{"c", {Value::Str("x"), Value::Int(3)}}},
+                         {{"a", {Value::Str("x"), Value::Int(1)}}});
+    ASSERT_TRUE(move.ok()) << move.status().ToString();
+    EXPECT_EQ(QuerySet(ws, "f"), std::set<std::string>{"(\"x\", 3)"});
+
+    // A real conflict still fails, and rolls back.
+    auto clash = ws.Apply({{"b", {Value::Str("x"), Value::Int(4)}}});
+    EXPECT_EQ(clash.status().code(), StatusCode::kConstraintViolation);
+    EXPECT_EQ(QuerySet(ws, "f"), std::set<std::string>{"(\"x\", 3)"});
+  }
+}
+
+TEST(NegationCountingTest, RiseSupersededByClusterRederive) {
+  // r has a counted rule with a negation and a recursive group. In one
+  // transaction the negation flips off (the counted rule's support for
+  // r(x, y) is due to rise) and a link goes (the recursive group rederives
+  // every r row, the counted rule's included). The rederive recounts the
+  // rise, so it must not be added again.
+  Workspace ws;
+  Install(&ws, R"(
+    a(X, Y) -> string(X), string(Y).
+    blk(X) -> string(X).
+    link(X, Y) -> string(X), string(Y).
+    r(X, Y) -> string(X), string(Y).
+    r(X, Y) <- a(X, Y), !blk(X).
+    r(X, Y) <- link(X, Y).
+    r(X, Y) <- link(X, Z), r(Z, Y).
+  )");
+  ASSERT_TRUE(ws.Apply({{"a", {Value::Str("x"), Value::Str("y")}},
+                        {"blk", {Value::Str("x")}},
+                        {"link", {Value::Str("u"), Value::Str("v")}}})
+                  .ok());
+  EXPECT_FALSE(Contains(ws, "r", {Value::Str("x"), Value::Str("y")}));
+
+  auto tx = ws.Apply({}, {{"blk", {Value::Str("x")}},
+                          {"link", {Value::Str("u"), Value::Str("v")}}});
+  ASSERT_TRUE(tx.ok()) << tx.status().ToString();
+  EXPECT_GE(tx->fixpoint.group_rederives, 1u);
+  EXPECT_EQ(QuerySet(ws, "r"), std::set<std::string>{"(\"x\", \"y\")"});
+  EXPECT_EQ(SupportOf(ws, "r", {Value::Str("x"), Value::Str("y")}), 1u);
+
+  // Exact: its one support goes with the negation's return.
+  ASSERT_TRUE(ws.Apply({{"blk", {Value::Str("x")}}}).ok());
+  EXPECT_FALSE(Contains(ws, "r", {Value::Str("x"), Value::Str("y")}));
+}
+
 /// A random stratified program: a recursive closure `tc` over b1, then
 /// heads d0..d2, each from one or two non-recursive rules that join base
 /// or lower predicates and carry one or two negated literals with
-/// variables, wildcards and constants.
+/// variables, wildcards and constants. d0 is functional (d0[X] = Y), so a
+/// transaction can move its value from one row or rule to another.
 std::string RandomNegationProgram(Xoshiro256& rng) {
   std::string src = R"(
     b1(X, Y) -> string(X), string(Y).
@@ -686,23 +814,29 @@ std::string RandomNegationProgram(Xoshiro256& rng) {
     tc(X, Y) -> string(X), string(Y).
     tc(X, Y) <- b1(X, Y).
     tc(X, Y) <- b1(X, Z), tc(Z, Y).
+    d0[X] = Y -> string(X), string(Y).
   )";
   std::vector<std::string> binary = {"b1", "b2", "tc"};
   auto pick = [&](const std::vector<std::string>& v) {
     return v[rng.Uniform(v.size())];
   };
+  auto atom = [](const std::string& pred, const std::string& a,
+                 const std::string& b) {
+    return pred == "d0" ? pred + "[" + a + "] = " + b
+                        : pred + "(" + a + ", " + b + ")";
+  };
   for (int h = 0; h < 3; ++h) {
     const std::string head = "d" + std::to_string(h);
-    src += head + "(X, Y) -> string(X), string(Y).\n";
+    if (h > 0) src += head + "(X, Y) -> string(X), string(Y).\n";
     const int rules = 1 + static_cast<int>(rng.Uniform(2));
     for (int r = 0; r < rules; ++r) {
       std::vector<std::string> vars = {"X", "Y"};
       std::string body;
       if (rng.Chance(0.5)) {
-        body = pick(binary) + "(X, Z), " + pick(binary) + "(Z, Y)";
+        body = atom(pick(binary), "X", "Z") + ", " + atom(pick(binary), "Z", "Y");
         vars.push_back("Z");
       } else {
-        body = pick(binary) + "(X, Y)";
+        body = atom(pick(binary), "X", "Y");
       }
       auto arg = [&]() -> std::string {
         const uint64_t c = rng.Uniform(10);
@@ -715,10 +849,11 @@ std::string RandomNegationProgram(Xoshiro256& rng) {
         if (rng.Chance(0.25)) {
           body += ", !b3(" + arg() + ")";
         } else {
-          body += ", !" + pick(binary) + "(" + arg() + ", " + arg() + ")";
+          const std::string a = arg();
+          body += ", !" + atom(pick(binary), a, arg());
         }
       }
-      src += head + "(X, Y) <- " + body + ".\n";
+      src += atom(head, "X", "Y") + " <- " + body + ".\n";
     }
     binary.push_back(head);
   }
@@ -728,6 +863,8 @@ std::string RandomNegationProgram(Xoshiro256& rng) {
 TEST(NegationCountingTest, DifferentialAgainstFreshWorkspace) {
   const std::vector<std::string> preds = {"b1", "b2", "b3", "tc",
                                           "d0", "d1", "d2"};
+  int committed = 0;
+  int refused = 0;
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     Xoshiro256 rng(seed);
     const std::string src = RandomNegationProgram(rng);
@@ -774,6 +911,7 @@ TEST(NegationCountingTest, DifferentialAgainstFreshWorkspace) {
           ins.push_back(update(f));
         }
       }
+      const std::set<Fact> old_base = base;
       bool b1_deleted = false;
       for (const Fact& f : removed) {
         base.erase(f);
@@ -781,22 +919,41 @@ TEST(NegationCountingTest, DifferentialAgainstFreshWorkspace) {
       }
       base.insert(added.begin(), added.end());  // deletes apply first
 
+      const SupportMap before = Supports(ws, preds);
       auto commit = ws.Apply(ins, del);
-      ASSERT_TRUE(commit.ok()) << commit.status().ToString();
-      // Only the recursive closure may rederive, and only on a b1 delete.
-      if (!b1_deleted) {
-        EXPECT_EQ(commit->fixpoint.group_rederives, 0u);
-      }
 
       Workspace fresh;
       Install(&fresh, src);
       std::vector<FactUpdate> all;
       for (const Fact& f : base) all.push_back(update(f));
-      ASSERT_TRUE(fresh.Apply(all).ok());
+      Status rebuilt = fresh.Apply(all).status();
+      if (!rebuilt.ok()) {
+        // The new state gives some d0[X] two values: the transaction must
+        // be refused and leave the old state exactly.
+        ASSERT_EQ(rebuilt.code(), StatusCode::kConstraintViolation)
+            << rebuilt.ToString();
+        ASSERT_FALSE(commit.ok()) << "after round " << round;
+        ASSERT_EQ(commit.status().code(), StatusCode::kConstraintViolation)
+            << commit.status().ToString();
+        ASSERT_EQ(Supports(ws, preds), before) << "after round " << round;
+        base = old_base;
+        ++refused;
+        continue;
+      }
+      ASSERT_TRUE(commit.ok())
+          << "after round " << round << ": " << commit.status().ToString();
+      ++committed;
+      // Only the recursive closure may rederive, and only on a b1 delete.
+      if (!b1_deleted) {
+        EXPECT_EQ(commit->fixpoint.group_rederives, 0u);
+      }
       ASSERT_EQ(Supports(ws, preds), Supports(fresh, preds))
           << "after round " << round;
     }
   }
+  // Both outcomes are exercised, and most transactions commit.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(committed, 2 * refused);
 }
 
 }  // namespace
