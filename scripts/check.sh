@@ -74,17 +74,6 @@ echo "wrote $build/BENCH_dist.json"
 SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
     -R 'placement_test|dist_test'
 
-# Cost-based planner A/B (SB_PLAN): worst-ordered join plus an
-# already-well-ordered recursion, recorded as BENCH_plan.json. The
-# harness exits nonzero unless planner-on is >= 1.5x faster on the
-# adversarial join and within 1.35x on the well-ordered workload.
-SB_QUICK=1 SB_TRIALS=3 SB_BENCH_OUT="$build/BENCH_plan.json" \
-    "$build/abl_plan_ab"
-echo "wrote $build/BENCH_plan.json"
-# Planner-off smoke: the baseline written-order paths must stay green.
-SB_PLAN=0 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
-    -R 'engine_test|parallel_test|delete_test|planner_test'
-
 # Column storage: the wide string-heavy filter join with churn, recorded
 # as BENCH_column.json (seconds plus dict/column/index bytes; no gate).
 SB_QUICK=1 SB_TRIALS=3 SB_BENCH_OUT="$build/BENCH_column.json" \
@@ -100,7 +89,7 @@ echo "wrote $build/BENCH_column.json"
 SB_QUICK=1 SB_BENCH_OUT="$build/BENCH_serve.json" "$build/serve_qps"
 echo "wrote $build/BENCH_serve.json"
 # Query-path determinism smoke: the query/fixpoint differential suites
-# across the planner/shard matrix.
+# at the prime shard count.
 SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
     -R 'query_test|query_fuzz_test|udp_cluster_test'
 

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "engine/planner.h"
 
 namespace secureblox::engine {
 
@@ -459,15 +458,6 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
   ComputeProbeInfo(&out.steps);
   // The body's slots; head existentials add more below.
   out.num_slots = slots.size();
-  for (size_t k = 0; k < out.neg_preds.size(); ++k) {
-    out.neg_steps.push_back(DeltaFirstSteps(
-        out, out.num_scan_occurrences + static_cast<int>(k)));
-    if (out.neg_steps.back().empty()) {
-      return Status::CompileError(
-          "cannot order negated literal " + std::to_string(k + 1) +
-          " first: " + rule.ToString());
-    }
-  }
 
   if (rule.agg.has_value()) {
     if (rule.heads.size() != 1 || !rule.heads[0].functional) {
@@ -936,7 +926,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         // reference-stability contract in relation.h. A probe that covers
         // the shard key touches exactly one shard; otherwise it fans out
         // over the shards in order. Planner-built steps carry the choice
-        // statically; kAuto (baseline) resolves it here per call.
+        // statically; kAuto (constraint bodies) resolves it here per call.
         const int only = step.probe == Step::Probe::kFanout
                              ? -1
                              : rel->ProbeShardOf(mask, key);

@@ -78,8 +78,9 @@ struct Step {
     kTypeCheck, // primitive type predicate over a bound slot
   };
   /// How a kScan/kNegCheck step reads its relation. The compiler leaves
-  /// kAuto (resolve single-shard vs fan-out from the mask per call — the
-  /// pre-planner behavior); planner-built steps carry an explicit choice.
+  /// kAuto (resolve single-shard vs fan-out from the mask per call), which
+  /// only constraint bodies execute — they run unplanned; every rule body
+  /// runs a planner-built step list carrying an explicit choice.
   enum class Probe : uint8_t {
     kAuto,        // decide per call from probe_mask and the shard key
     kScanAll,     // no bound columns: walk every shard's tuple array
@@ -116,7 +117,7 @@ void ComputeProbeInfo(std::vector<Step>* steps);
 /// relation statistics; executing `steps` enumerates exactly the bindings
 /// of the baseline order.
 struct VariantPlan {
-  std::vector<Step> steps;           // empty = planning declined (use baseline)
+  std::vector<Step> steps;
   std::vector<size_t> source_index;  // baseline step index per position
   std::vector<double> est_rows;      // estimated matches per position (<0 = Δ)
   /// Where each position's estimate came from (kSize for filter/Δ/lookup
@@ -169,11 +170,6 @@ struct CompiledRule {
   /// counting maintenance can read it through an OccView (the pre-change
   /// state) or run it as a flipped-key variant (engine/fixpoint.h).
   std::vector<datalog::PredId> neg_preds;
-  /// Written-order steps of each negated occurrence's variant, parallel to
-  /// neg_preds: the literal moved first as a scan of its flipped keys, the
-  /// rest rebound in place (DeltaFirstSteps) — what the fixpoint runs when
-  /// planning is off or the planner declines.
-  std::vector<std::vector<Step>> neg_steps;
   // Head existentials.
   std::vector<int> existential_slots;
   std::vector<datalog::PredId> existential_types;

@@ -63,9 +63,8 @@ size_t ChunkCountFor(size_t rows) {
 /// merge phase.
 struct FixpointDriver::EnumTask {
   const CompiledRule* rule = nullptr;
-  /// Step list to enumerate: the rule's planned variant when the planner
-  /// produced one (interior pointer into the rule's RulePlanCache, stable
-  /// for the task's lifetime), the baseline rule->steps otherwise.
+  /// Step list to enumerate: the rule's planned variant (interior pointer
+  /// into the rule's RulePlanCache, stable for the task's lifetime).
   const std::vector<Step>* steps = nullptr;
   size_t rule_idx = 0;
   int gid = 0;
@@ -100,7 +99,8 @@ FixpointDriver::FixpointDriver(const RuleGraph* graph,
                                FixpointHost* host,
                                const FixpointOptions* options)
     : graph_(*graph), rules_(*rules), ctx_(*ctx), store_(*store),
-      host_(*host), options_(*options) {}
+      host_(*host), options_(*options),
+      planner_(ctx->catalog, store, options) {}
 
 FixpointDriver::~FixpointDriver() = default;
 
@@ -111,8 +111,7 @@ void FixpointDriver::Begin() {
   active_.clear();
   touched_.clear();
   stats_ = {};
-  plans_built_at_begin_ =
-      planner_ != nullptr ? planner_->plans_built() : 0;
+  plans_built_at_begin_ = planner_.plans_built();
 }
 
 bool FixpointDriver::EraseFromDeltaMap(DeltaMap* m, PredId pred,
@@ -225,9 +224,7 @@ Status FixpointDriver::Run() {
       SB_RETURN_IF_ERROR(RunStratum(s));
     }
   }
-  if (planner_ != nullptr) {
-    stats_.plans_built = planner_->plans_built() - plans_built_at_begin_;
-  }
+  stats_.plans_built = planner_.plans_built() - plans_built_at_begin_;
   return Status::OK();
 }
 
@@ -368,7 +365,7 @@ void FixpointDriver::BuildVariantViews(const CompiledRule& rule,
   }
 }
 
-void FixpointDriver::StageVariantTasks(
+Status FixpointDriver::StageVariantTasks(
     const CompiledRule& rule, size_t rule_idx, int gid, const DeltaMap& delta,
     bool retract, std::vector<std::unique_ptr<EnumTask>>* tasks) {
   // Insert deltas this group has not consumed yet (meaningful on the
@@ -385,12 +382,13 @@ void FixpointDriver::StageVariantTasks(
     auto views = std::make_shared<std::vector<OccView>>(n);
     BuildVariantViews(rule, delta, unconsumed, occ, retract, views.get(),
                       excl.get());
-    StageOccurrence(rule, rule_idx, gid, occ, retract, it->second, views,
-                    excl, tasks);
+    SB_RETURN_IF_ERROR(StageOccurrence(rule, rule_idx, gid, occ, retract,
+                                       it->second, views, excl, tasks));
   }
+  return Status::OK();
 }
 
-void FixpointDriver::StageOccurrence(
+Status FixpointDriver::StageOccurrence(
     const CompiledRule& rule, size_t rule_idx, int gid, int occ, bool retract,
     const std::vector<Tuple>& only,
     const std::shared_ptr<std::vector<OccView>>& views,
@@ -401,8 +399,8 @@ void FixpointDriver::StageOccurrence(
   // building and stats seeding stay deterministic. One plan serves both
   // the insert and the retract direction of a variant: the step order is
   // cardinality-driven, the delta routing is per occurrence.
-  const std::vector<Step>* steps = VariantSteps(rule, occ);
-  WarmSteps(*steps);
+  SB_ASSIGN_OR_RETURN(const VariantPlan* plan, planner_.PlanFor(rule, occ));
+  WarmSteps(plan->steps);
   // Chunks are cut on the delta relation's shard boundaries: one partition
   // per shard (relative delta order preserved within each), windowed so a
   // huge shard still spreads across workers. Staging order — and with it
@@ -417,7 +415,7 @@ void FixpointDriver::StageOccurrence(
         for (size_t c = 0; c < chunks; ++c) {
           auto task = std::make_unique<EnumTask>();
           task->rule = &rule;
-          task->steps = steps;
+          task->steps = &plan->steps;
           task->rule_idx = rule_idx;
           task->gid = gid;
           task->retract = retract;
@@ -440,7 +438,7 @@ void FixpointDriver::StageOccurrence(
   const size_t nshards = rel != nullptr ? rel->shard_count() : 1;
   if (nshards <= 1) {
     stage_windows(nullptr, nullptr);
-    return;
+    return Status::OK();
   }
   // Segment slices: partition the delta into per-shard index lists over
   // the snapshot's one vector (relative order preserved within each shard)
@@ -455,26 +453,7 @@ void FixpointDriver::StageOccurrence(
     if ((*parts)[s].empty()) continue;
     stage_windows(&(*parts)[s], parts);
   }
-}
-
-const std::vector<Step>* FixpointDriver::VariantSteps(const CompiledRule& rule,
-                                                      int occ) {
-  if (ExecPlanner* pl = planner()) {
-    if (const VariantPlan* vp = pl->PlanFor(rule, occ)) return &vp->steps;
-  }
-  if (occ < rule.num_scan_occurrences) return &rule.steps;
-  return &rule.neg_steps[occ - rule.num_scan_occurrences];
-}
-
-ExecPlanner* FixpointDriver::planner() {
-  // Checked live (not latched): benches and tests flip
-  // FixpointOptions::plan between transactions for A/B runs.
-  if (!options_.plan) return nullptr;
-  if (planner_ == nullptr) {
-    planner_ =
-        std::make_unique<ExecPlanner>(ctx_.catalog, &store_, &options_);
-  }
-  return planner_.get();
+  return Status::OK();
 }
 
 void FixpointDriver::WarmSteps(const std::vector<Step>& steps) {
@@ -666,8 +645,8 @@ Status FixpointDriver::RunWave(const std::vector<int>& wave) {
         ++stats_.rule_firings;
         if (rule.parallel_safe) {
           size_t begin = tasks.size();
-          StageVariantTasks(rule, idx, gid, delta, /*retract=*/false,
-                            &tasks);
+          SB_RETURN_IF_ERROR(StageVariantTasks(rule, idx, gid, delta,
+                                               /*retract=*/false, &tasks));
           staged[{gid, idx}] = {begin, tasks.size()};
         }
       }
@@ -767,10 +746,12 @@ Status FixpointDriver::ProcessRetractions(int gid) {
     const CompiledRule& rule = rules_[idx];
     const size_t staged = tasks.size();
     if (!neg.empty()) {
-      StageNegationFlips(rule, idx, gid, neg, dels, &keys, &tasks);
+      SB_RETURN_IF_ERROR(
+          StageNegationFlips(rule, idx, gid, neg, dels, &keys, &tasks));
     }
     if (HasDeltaFor(rule, dels)) {
-      StageVariantTasks(rule, idx, gid, dels, /*retract=*/true, &tasks);
+      SB_RETURN_IF_ERROR(StageVariantTasks(rule, idx, gid, dels,
+                                           /*retract=*/true, &tasks));
     }
     if (tasks.size() > staged) {
       ++stats_.retract_firings;
@@ -782,7 +763,7 @@ Status FixpointDriver::ProcessRetractions(int gid) {
   return ApplyRetractRound(gid, tasks);
 }
 
-void FixpointDriver::StageNegationFlips(
+Status FixpointDriver::StageNegationFlips(
     const CompiledRule& rule, size_t rule_idx, int gid, const ChangeQueue& neg,
     const DeltaMap& pending_dels, std::deque<std::vector<Tuple>>* keys,
     std::vector<std::unique_ptr<EnumTask>>* tasks) {
@@ -827,15 +808,18 @@ void FixpointDriver::StageNegationFlips(
     // (first match arrived) destroys them.
     if (!off.empty()) {
       keys->push_back(std::move(off));
-      StageOccurrence(rule, rule_idx, gid, n + k, /*retract=*/false,
-                      keys->back(), views, excl, tasks);
+      SB_RETURN_IF_ERROR(StageOccurrence(rule, rule_idx, gid, n + k,
+                                         /*retract=*/false, keys->back(),
+                                         views, excl, tasks));
     }
     if (!on.empty()) {
       keys->push_back(std::move(on));
-      StageOccurrence(rule, rule_idx, gid, n + k, /*retract=*/true,
-                      keys->back(), views, excl, tasks);
+      SB_RETURN_IF_ERROR(StageOccurrence(rule, rule_idx, gid, n + k,
+                                         /*retract=*/true, keys->back(),
+                                         views, excl, tasks));
     }
   }
+  return Status::OK();
 }
 
 void FixpointDriver::FlippedKeys(const CompiledRule& rule, int occ,
@@ -969,11 +953,10 @@ Status FixpointDriver::RunRuleVariants(const CompiledRule& rule,
                       &excl);
     DeltaOverride override;
     override.views = &views;
-    ExecPlanner* pl = planner();
-    const VariantPlan* vp = pl != nullptr ? pl->PlanFor(rule, occ) : nullptr;
+    SB_ASSIGN_OR_RETURN(const VariantPlan* plan, planner_.PlanFor(rule, occ));
     Env env(rule.num_slots);
     SB_RETURN_IF_ERROR(executor.Run(
-        vp != nullptr ? vp->steps : rule.steps, &env, &override,
+        plan->steps, &env, &override,
         [&](Env& e) -> Status {
           return InstantiateHeads(rule, e, &pending);
         }));
@@ -1077,15 +1060,14 @@ Status FixpointDriver::RecomputeAggregate(const CompiledRule& rule,
                                           bool lattice) {
   const CompiledAgg& agg = *rule.agg;
   Executor executor(&ctx_, &store_, ResolveSimdMode(options_.simd));
-  ExecPlanner* pl = planner();
-  const VariantPlan* vp =
-      pl != nullptr ? pl->PlanFor(rule, ExecPlanner::kFullBody) : nullptr;
+  SB_ASSIGN_OR_RETURN(const VariantPlan* plan,
+                      planner_.PlanFor(rule, ExecPlanner::kFullBody));
 
   // Group body bindings by the head keys.
   std::map<Tuple, int64_t> groups;
   Env env(rule.num_slots);
   SB_RETURN_IF_ERROR(executor.Run(
-      vp != nullptr ? vp->steps : rule.steps, &env, nullptr,
+      plan->steps, &env, nullptr,
       [&](Env& e) -> Status {
         Tuple key;
         for (const ArgPat& p : agg.key_args) {

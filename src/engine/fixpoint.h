@@ -82,6 +82,7 @@
 
 #include "common/status.h"
 #include "engine/eval.h"
+#include "engine/planner.h"
 #include "engine/rule_graph.h"
 #include "engine/worker_pool.h"
 
@@ -147,13 +148,6 @@ struct FixpointOptions {
   /// shard boundaries, and the fixpoint result is identical for every
   /// value. Seeded from the SB_SHARDS environment variable by Workspace.
   size_t shards = 1;
-  /// Cost-based rule execution planning (engine/planner.h): reorder body
-  /// literals by estimated bound-cardinality per semi-naïve variant and
-  /// fix probe strategies statically. false = the compiler's written-order
-  /// steps (the pre-planner behavior); the fixpoint is byte-identical
-  /// either way. Seeded from SB_PLAN (0/1) by Workspace; read live on
-  /// every plan request, so A/B toggling between transactions works.
-  bool plan = true;
   /// SIMD level for the columnar filter kernels (engine/kernels.h):
   /// 0 = scalar, 1 = the best level the CPU supports, 2 = auto (runtime
   /// dispatch — the same resolution as 1, kept distinct so "explicitly
@@ -204,8 +198,6 @@ class FixpointHost {
   virtual Status BindExistentials(const CompiledRule& rule, Env* env,
                                   std::vector<int>* bound_here) = 0;
 };
-
-class ExecPlanner;
 
 class FixpointDriver {
  public:
@@ -291,10 +283,11 @@ class FixpointDriver {
   /// them (insert tasks). Positive occurrences read the counted state —
   /// `pending_dels` restored, unconsumed adds hidden. Flipped keys are
   /// kept in `keys`, which must outlive the tasks.
-  void StageNegationFlips(const CompiledRule& rule, size_t rule_idx, int gid,
-                          const ChangeQueue& neg, const DeltaMap& pending_dels,
-                          std::deque<std::vector<Tuple>>* keys,
-                          std::vector<std::unique_ptr<EnumTask>>* tasks);
+  Status StageNegationFlips(const CompiledRule& rule, size_t rule_idx,
+                            int gid, const ChangeQueue& neg,
+                            const DeltaMap& pending_dels,
+                            std::deque<std::vector<Tuple>>* keys,
+                            std::vector<std::unique_ptr<EnumTask>>* tasks);
   /// The keys of negated occurrence `occ` whose match status flipped
   /// between the old state (relation minus `neg`'s adds plus its dels) and
   /// the current one: `on` gained a first match, `off` lost the last.
@@ -330,30 +323,22 @@ class FixpointDriver {
                                 std::vector<TupleSet>* excl);
   /// Stage chunked variant tasks for one rule over `delta` (insert mode)
   /// or `dels` (retract mode) into `tasks`.
-  void StageVariantTasks(const CompiledRule& rule, size_t rule_idx, int gid,
-                         const DeltaMap& delta, bool retract,
-                         std::vector<std::unique_ptr<EnumTask>>* tasks);
+  Status StageVariantTasks(const CompiledRule& rule, size_t rule_idx,
+                           int gid, const DeltaMap& delta, bool retract,
+                           std::vector<std::unique_ptr<EnumTask>>* tasks);
   /// Stage the variant firing at occurrence `occ` (scan or negated) over
   /// `only`, chunked on shard boundaries, with the shared per-occurrence
-  /// `views` (views[occ].only is set per task).
-  void StageOccurrence(const CompiledRule& rule, size_t rule_idx, int gid,
-                       int occ, bool retract, const std::vector<Tuple>& only,
-                       const std::shared_ptr<std::vector<OccView>>& views,
-                       const std::shared_ptr<std::vector<TupleSet>>& excl,
-                       std::vector<std::unique_ptr<EnumTask>>* tasks);
-  /// Steps for the variant at `occ`: the cached plan, else the written
-  /// order — for a negated occurrence CompiledRule::neg_steps, which scans
-  /// the flipped keys first. The pointer stays valid for the driver's
-  /// lifetime or until the plan is rebuilt in a later staging phase.
-  const std::vector<Step>* VariantSteps(const CompiledRule& rule, int occ);
+  /// `views` (views[occ].only is set per task). Fails only when the
+  /// variant cannot be planned (ExecPlanner::PlanFor).
+  Status StageOccurrence(const CompiledRule& rule, size_t rule_idx, int gid,
+                         int occ, bool retract, const std::vector<Tuple>& only,
+                         const std::shared_ptr<std::vector<OccView>>& views,
+                         const std::shared_ptr<std::vector<TupleSet>>& excl,
+                         std::vector<std::unique_ptr<EnumTask>>* tasks);
   /// Run staged tasks on the pool (inline when threads=1, and always for
   /// rules with side effects); fails with the first task error in staging
   /// order.
   Status RunStagedTasks(std::vector<std::unique_ptr<EnumTask>>* tasks);
-  /// The cost-based planner, created on first use; nullptr while
-  /// options_.plan is off (checked live, so benches can A/B between
-  /// transactions). Only called from single-threaded phases.
-  ExecPlanner* planner();
   /// Warm what worker threads will read while running `steps`: the
   /// secondary index of every bound-column probe, and the sorted-run
   /// metadata of every single-column filtered full scan (planner-chosen
@@ -408,8 +393,10 @@ class FixpointDriver {
       rises_;
   bool relations_ensured_ = false;
   std::unique_ptr<WorkerPool> pool_;
-  std::unique_ptr<ExecPlanner> planner_;
-  /// planner()->plans_built() at Begin(): Run() reports the delta.
+  /// Orders every rule body the driver runs. Only used from
+  /// single-threaded phases.
+  ExecPlanner planner_;
+  /// planner_.plans_built() at Begin(): Run() reports the delta.
   uint64_t plans_built_at_begin_ = 0;
 };
 

@@ -6,6 +6,8 @@
 #include <memory>
 #include <utility>
 
+#include "engine/fixpoint.h"
+
 namespace secureblox::engine {
 
 namespace {
@@ -134,7 +136,7 @@ bool RebindArg(ArgPat* p, std::vector<bool>* bound, bool may_bind,
 /// scan of the negated occurrence's flipped keys (their wildcard columns
 /// stay kWild and bind nothing). Occurrence numbers are preserved so
 /// semi-naïve views keep applying. Returns false when the step cannot run
-/// here (planner bug guard; callers discard the plan).
+/// here (a planner bug: Build fails the transaction).
 bool RebindStep(const Step& base, std::vector<bool>* bound, bool force_scan,
                 Step* out) {
   *out = base;
@@ -229,30 +231,6 @@ const char* SourceName(EstimateSource s) {
 
 }  // namespace
 
-std::vector<Step> DeltaFirstSteps(const CompiledRule& rule, int occ) {
-  const std::vector<Step>& base = rule.steps;
-  std::vector<bool> bound(rule.num_slots, false);
-  std::vector<Step> out;
-  out.reserve(base.size());
-  size_t first = base.size();
-  for (size_t i = 0; i < base.size(); ++i) {
-    if (base[i].occurrence == occ) first = i;
-  }
-  if (first == base.size()) return {};
-  Step s;
-  if (!RebindStep(base[first], &bound, /*force_scan=*/true, &s)) return {};
-  out.push_back(std::move(s));
-  // Binding more slots up front only turns later binds into bound checks,
-  // so every remaining step stays runnable in its written position.
-  for (size_t i = 0; i < base.size(); ++i) {
-    if (i == first) continue;
-    if (!RebindStep(base[i], &bound, /*force_scan=*/false, &s)) return {};
-    out.push_back(std::move(s));
-  }
-  ComputeProbeInfo(&out);
-  return out;
-}
-
 double ExecPlanner::EstimateBound(const Step& step,
                                   const std::vector<bool>& bound,
                                   EstimateSource* src,
@@ -283,13 +261,19 @@ double ExecPlanner::EstimateBound(const Step& step,
   return rel->EstimateMatches(mask);
 }
 
-VariantPlan ExecPlanner::Build(const CompiledRule& rule, int occ) const {
+Result<VariantPlan> ExecPlanner::Build(const CompiledRule& rule,
+                                       int occ) const {
   VariantPlan plan;
   const std::vector<Step>& base = rule.steps;
   const size_t n = base.size();
   std::vector<bool> placed(n, false);
   std::vector<bool> bound(rule.num_slots, false);
-  VariantPlan declined;  // empty steps = use the baseline order
+  auto unplaceable = [&](const char* why) {
+    return Status::Internal("planner: " + std::string(why) + " (rule#" +
+                            std::to_string(rule.id) + " variant " +
+                            std::to_string(occ) + "): " +
+                            rule.source.ToString());
+  };
 
   while (plan.steps.size() < n) {
     int pick = -1;
@@ -308,7 +292,7 @@ VariantPlan ExecPlanner::Build(const CompiledRule& rule, int occ) const {
           break;
         }
       }
-      if (pick < 0) return declined;
+      if (pick < 0) return unplaceable("no step carries the occurrence");
     } else {
       int pick_class = std::numeric_limits<int>::max();
       for (size_t i = 0; i < n; ++i) {
@@ -338,11 +322,13 @@ VariantPlan ExecPlanner::Build(const CompiledRule& rule, int occ) const {
           pick_distinct = distinct;
         }
       }
-      if (pick < 0) return declined;  // unreachable (see planner.h)
+      if (pick < 0) return unplaceable("no remaining step is runnable");
     }
 
     Step s;
-    if (!RebindStep(base[pick], &bound, force_scan, &s)) return declined;
+    if (!RebindStep(base[pick], &bound, force_scan, &s)) {
+      return unplaceable("a step cannot be rebound at its position");
+    }
     plan.steps.push_back(std::move(s));
     plan.source_index.push_back(static_cast<size_t>(pick));
     plan.est_rows.push_back(pick_est);
@@ -406,7 +392,8 @@ bool ExecPlanner::Stale(const VariantPlan& plan) const {
   return false;
 }
 
-const VariantPlan* ExecPlanner::PlanFor(const CompiledRule& rule, int occ) {
+Result<const VariantPlan*> ExecPlanner::PlanFor(const CompiledRule& rule,
+                                                int occ) {
   RulePlanCache& cache = *rule.plan_cache;
   if (cache.variants.empty()) {
     // Sized exactly once: executing code holds interior pointers into the
@@ -415,20 +402,23 @@ const VariantPlan* ExecPlanner::PlanFor(const CompiledRule& rule, int occ) {
                           rule.neg_preds.size() + 1);
   }
   const size_t slot = static_cast<size_t>(occ + 1);  // kFullBody -> 0
-  if (slot >= cache.variants.size()) return nullptr;
+  if (slot >= cache.variants.size()) {
+    return Status::Internal("planner: rule#" + std::to_string(rule.id) +
+                            " has no variant " + std::to_string(occ));
+  }
   std::optional<VariantPlan>& vp = cache.variants[slot];
   if (!vp.has_value() || Stale(*vp)) {
     const uint64_t builds = vp.has_value() ? vp->builds : 0;
-    VariantPlan fresh = Build(rule, occ);
+    SB_ASSIGN_OR_RETURN(VariantPlan fresh, Build(rule, occ));
     fresh.builds = builds + 1;
     vp.emplace(std::move(fresh));
     ++plans_built_;
-    if (options_.explain && !vp->steps.empty()) {
+    if (options_.explain) {
       const std::string dump = Explain(rule, occ, *vp);
       fwrite(dump.data(), 1, dump.size(), stderr);
     }
   }
-  return vp->steps.empty() ? nullptr : &*vp;
+  return &*vp;
 }
 
 std::string ExecPlanner::Explain(const CompiledRule& rule, int occ,

@@ -5,9 +5,11 @@
 // for the full body, used by aggregate recomputes), reordering the baseline
 // steps greedily by estimated bound-cardinality and fixing each probe's
 // strategy (single-shard probe / indexed fan-out / full scan) statically
-// instead of per call. Plans are cached on the rule's RulePlanCache and
-// rebuilt when body-relation sizes drift past a threshold, so long fixpoints
-// replan as relations grow.
+// instead of per call. It is the only way the fixpoint orders a rule body:
+// the compiler's written-order steps are its input (and what constraint
+// bodies execute), never a runtime alternative. Plans are cached on the
+// rule's RulePlanCache and rebuilt when body-relation sizes drift past a
+// threshold, so long fixpoints replan as relations grow.
 //
 // Cost model. Statistics come from Relation's online counters: total rows
 // plus distinct-key estimates per probe mask (Relation::EstimateMatches),
@@ -19,7 +21,7 @@
 // ascending by estimate. Reordering is a pure enumeration-order change —
 // RebindStep recomputes each argument's bound/bind pattern for the new
 // position — so a plan enumerates exactly the bindings of the baseline
-// order.
+// order (pinned by PlannerTest.PlansEnumerateWrittenOrderBindings).
 //
 // Determinism. Plans are built and cached only from the fixpoint's
 // single-threaded merge phase, and every input to a planning decision —
@@ -35,18 +37,12 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "engine/eval.h"
-#include "engine/fixpoint.h"
 
 namespace secureblox::engine {
 
-/// `rule`'s written-order steps with occurrence `occ` moved first and
-/// forced to a scan, the rest rebound in place — the planner-off form of a
-/// negated occurrence's variant, which must start from its flipped keys.
-/// Built once per negated literal by RuleCompiler::CompileRule
-/// (CompiledRule::neg_steps). Empty when `occ` names no step or a step
-/// cannot be rebound; the compiler rejects such a rule.
-std::vector<Step> DeltaFirstSteps(const CompiledRule& rule, int occ);
+struct FixpointOptions;
 
 class ExecPlanner {
  public:
@@ -59,14 +55,15 @@ class ExecPlanner {
       : catalog_(*catalog), store_(*store), options_(*options) {}
 
   /// The cached plan for `rule`'s occurrence-`occ` variant (kFullBody for
-  /// the whole body), building or rebuilding it when absent or stale.
-  /// Returns nullptr when planning declined (callers fall back to the
-  /// baseline rule.steps). The returned pointer stays valid for the
-  /// relation-frozen window the caller executes in: plans mutate only
-  /// through this method, only on the merge phase, and the cache vector is
-  /// sized once. Must be called single-threaded (it reads and seeds
-  /// relation statistics).
-  const VariantPlan* PlanFor(const CompiledRule& rule, int occ);
+  /// the whole body; scan occurrences, then negated ones), building or
+  /// rebuilding it when absent or stale. Never null on success; an
+  /// out-of-range `occ` or a body the greedy order cannot place is an
+  /// Internal error (a planner bug) that fails the transaction. The
+  /// returned pointer stays valid for the relation-frozen window the
+  /// caller executes in: plans mutate only through this method, only on
+  /// the merge phase, and the cache vector is sized once. Must be called
+  /// single-threaded (it reads and seeds relation statistics).
+  Result<const VariantPlan*> PlanFor(const CompiledRule& rule, int occ);
 
   /// Plans built or rebuilt through this planner (EngineStats feed).
   uint64_t plans_built() const { return plans_built_; }
@@ -77,9 +74,9 @@ class ExecPlanner {
 
  private:
   /// Greedy bound-cardinality ordering of `rule`'s baseline steps for one
-  /// variant. Returns a plan with empty steps when any step cannot be
-  /// rebound (defensive: cached so staleness governs retry).
-  VariantPlan Build(const CompiledRule& rule, int occ) const;
+  /// variant. Internal error when `occ` names no step or a step cannot be
+  /// placed or rebound — every body the compiler accepts has an order.
+  Result<VariantPlan> Build(const CompiledRule& rule, int occ) const;
 
   /// Has any body relation grown or shrunk past the replan threshold since
   /// `plan` was built?

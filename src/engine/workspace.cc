@@ -41,16 +41,6 @@ Workspace::Workspace() : catalog_(std::make_unique<Catalog>()) {
       fixpoint_options_.shards = static_cast<size_t>(n);
     }
   }
-  // Cost-based rule planning: SB_PLAN=0 disables (baseline written-order
-  // bodies), unset/1 enables. Either value computes the identical
-  // fixpoint; garbage keeps the default.
-  if (const char* env = std::getenv("SB_PLAN")) {
-    char* end = nullptr;
-    long n = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && (n == 0 || n == 1)) {
-      fixpoint_options_.plan = n == 1;
-    }
-  }
   // Columnar filter kernels: SB_SIMD=0 forces the scalar loops, 1 the best
   // SIMD level the CPU supports, auto/unset runtime dispatch (the
   // default). Every value computes the identical fixpoint; garbage keeps

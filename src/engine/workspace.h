@@ -87,7 +87,8 @@ struct EngineStats {
   /// (relation, probe mask); benches watch it to catch regressions to
   /// rebuild-on-erase behaviour.
   uint64_t index_rebuilds = 0;
-  /// Execution plans built or rebuilt by the cost-based planner (SB_PLAN).
+  /// Execution plans built or rebuilt by the cost-based planner, which
+  /// orders every rule body the fixpoint runs (engine/planner.h).
   uint64_t plan_builds = 0;
   /// Process-wide evaluation frames ever allocated (EvalFrameAllocs):
   /// flat in steady state — benches and tests pin the no-allocation

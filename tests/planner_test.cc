@@ -1,8 +1,10 @@
 // Cost-based rule execution planning: online relation statistics stay
 // symmetric under insert/erase churn, worst-ordered rule bodies are
-// reordered selective-first, planner on/off computes the byte-identical
-// fixpoint at every SB_SIMD x SB_THREADS x SB_SHARDS combination, the Executor's probe and batch paths allocate nothing in
-// steady state, and the SB_EXPLAIN dump describes the chosen plan.
+// reordered selective-first, every plan enumerates exactly the bindings of
+// the compiler's written order, the fixpoint is byte-identical at every
+// SB_SIMD x SB_THREADS x SB_SHARDS combination, the Executor's probe and
+// batch paths allocate nothing in steady state, and the SB_EXPLAIN dump
+// describes the chosen plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -71,15 +73,23 @@ Snapshot Snap(const Workspace& ws) {
   return out;
 }
 
-/// The plan- and shard-count-invariant face of FixpointStats (everything
-/// except parallel_tasks, which counts shard-aligned chunks, and
-/// plans_built, which is zero with the planner off).
+/// The SIMD-, thread- and shard-count-invariant face of FixpointStats
+/// (everything except parallel_tasks, which counts shard-aligned chunks).
 std::vector<uint64_t> SemanticCounters(const FixpointStats& fp) {
-  return {fp.rounds,         fp.rule_firings,    fp.firings_skipped,
-          fp.agg_recomputes, fp.agg_skipped,     fp.derivations,
-          fp.waves,          fp.retract_firings, fp.retractions,
-          fp.deleted,        fp.rescued,         fp.group_rederives,
-          fp.rederive_seeded};
+  return {fp.rounds,          fp.rule_firings,    fp.firings_skipped,
+          fp.agg_recomputes,  fp.agg_skipped,     fp.derivations,
+          fp.waves,           fp.retract_firings, fp.retractions,
+          fp.deleted,         fp.rescued,         fp.group_rederives,
+          fp.rederive_seeded, fp.plans_built};
+}
+
+/// The planner's plan for one variant; fails the test when planning does.
+const VariantPlan& PlanOf(ExecPlanner* planner, const CompiledRule& rule,
+                          int occ) {
+  Result<const VariantPlan*> plan = planner->PlanFor(rule, occ);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  static const VariantPlan kEmpty;
+  return plan.ok() ? **plan : kEmpty;
 }
 
 // ---------------------------------------------------------------------------
@@ -254,8 +264,7 @@ TEST(PlannerTest, WorstOrderedBodyReorderedSelectiveFirst) {
   ASSERT_EQ(rule->steps[0].pred, big_id);
 
   ExecPlanner planner(&ws.catalog(), &ws, &ws.fixpoint_options());
-  const VariantPlan* full = planner.PlanFor(*rule, ExecPlanner::kFullBody);
-  ASSERT_NE(full, nullptr);
+  const VariantPlan* full = &PlanOf(&planner, *rule, ExecPlanner::kFullBody);
   ASSERT_EQ(full->steps.size(), rule->steps.size());
   // Selective-first: the 2-row filt scan leads, and big becomes an
   // indexed probe on its now-bound join column.
@@ -270,12 +279,12 @@ TEST(PlannerTest, WorstOrderedBodyReorderedSelectiveFirst) {
   EXPECT_NE(big_step->probe, Step::Probe::kScanAll);
 
   // Semi-naïve variants put their delta atom first regardless of cost.
-  const VariantPlan* d0 = planner.PlanFor(*rule, 0);
-  ASSERT_NE(d0, nullptr);
+  const VariantPlan* d0 = &PlanOf(&planner, *rule, 0);
+  ASSERT_FALSE(d0->steps.empty());
   EXPECT_EQ(d0->steps[0].pred, big_id);
   EXPECT_EQ(d0->steps[0].occurrence, 0);
-  const VariantPlan* d1 = planner.PlanFor(*rule, 1);
-  ASSERT_NE(d1, nullptr);
+  const VariantPlan* d1 = &PlanOf(&planner, *rule, 1);
+  ASSERT_EQ(d1->steps.size(), 2u);
   EXPECT_EQ(d1->steps[0].pred, filt_id);
   EXPECT_EQ(d1->steps[0].occurrence, 1);
   // With filt's delta bound first, big is again an indexed probe.
@@ -300,10 +309,10 @@ TEST(PlannerTest, PlansReplanWhenStatsDrift) {
     if (r.num_scan_occurrences == 2) rule = &r;
   }
   ASSERT_NE(rule, nullptr);
-  ASSERT_NE(planner.PlanFor(*rule, ExecPlanner::kFullBody), nullptr);
+  ASSERT_TRUE(planner.PlanFor(*rule, ExecPlanner::kFullBody).ok());
   const uint64_t built = planner.plans_built();
   // Same sizes: cached plan, no rebuild.
-  ASSERT_NE(planner.PlanFor(*rule, ExecPlanner::kFullBody), nullptr);
+  ASSERT_TRUE(planner.PlanFor(*rule, ExecPlanner::kFullBody).ok());
   EXPECT_EQ(planner.plans_built(), built);
   // Grow big far past the drift threshold: the next request replans.
   std::vector<FactUpdate> more;
@@ -311,20 +320,153 @@ TEST(PlannerTest, PlansReplanWhenStatsDrift) {
     more.push_back({"big", {Value::Int(i + 10), Value::Int(i)}});
   }
   ASSERT_TRUE(ws.Apply(more).ok());
-  const VariantPlan* rebuilt = planner.PlanFor(*rule, ExecPlanner::kFullBody);
-  ASSERT_NE(rebuilt, nullptr);
+  const VariantPlan* rebuilt =
+      &PlanOf(&planner, *rule, ExecPlanner::kFullBody);
   EXPECT_GT(planner.plans_built(), built);
   EXPECT_GE(rebuilt->builds, 2u);
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence: SB_PLAN={0,1} x SB_THREADS={1,4} x SB_SHARDS={1,7}.
+// Plans enumerate exactly the bindings of the written order.
+// ---------------------------------------------------------------------------
+
+// One rule per rebinding the planner performs when it reorders a body:
+// fl's functional lookup is forced to a scan (f is smaller than big, and
+// its own delta leads), as's assignment becomes an equality once tag's
+// delta binds its target, sl repeats a variable within one atom (kSame),
+// ng/nf negate a plain and a functional atom, bk's builtin output is bound
+// by an earlier tag step, and cnt's aggregate runs its full body.
+const char* kRebindProgram = R"(
+  big(X, Y) -> int(X), int(Y).
+  f[X] = V -> int(X), int(V).
+  link(X, Y) -> int(X), int(Y).
+  tag(X, Y) -> int(X), int(Y).
+  blocked(X) -> int(X).
+  fl(Y, V) -> int(Y), int(V).
+  fl(Y, V) <- big(X, Y), f[X] = V.
+  as(X, Z, W) -> int(X), int(Z), int(W).
+  as(X, Z, W) <- big(X, Y), Z = Y + 1, tag(Z, W).
+  sl(X, Y) -> int(X), int(Y).
+  sl(X, Y) <- link(X, X), tag(X, Y).
+  ng(X, Y) -> int(X), int(Y).
+  ng(X, Y) <- link(X, Y), !blocked(Y).
+  nf(X, Y) -> int(X), int(Y).
+  nf(X, Y) <- big(X, Y), !f[X] = _.
+  bk(Y, B, W) -> int(Y), int(B), int(W).
+  bk(Y, B, W) <- big(X, Y), sha1_bucket(Y, 4, B), tag(B, W).
+  cnt[X] = N -> int(X), int(N).
+  cnt[X] = N <- agg<< N = count() >> big(X, _y).
+)";
+
+std::vector<FactUpdate> RebindFacts() {
+  std::vector<FactUpdate> facts;
+  for (int x = 0; x < 40; ++x) {
+    for (int j = 0; j < 3; ++j) {
+      facts.push_back({"big", {Value::Int(x), Value::Int(3 * x + j)}});
+    }
+    if (x % 3 == 0) facts.push_back({"f", {Value::Int(x), Value::Int(7 * x)}});
+    facts.push_back({"link", {Value::Int(x), Value::Int((x * 5) % 40)}});
+    if (x % 4 == 0) facts.push_back({"blocked", {Value::Int(x)}});
+  }
+  for (int z = 0; z < 90; ++z) {
+    if (z % 3 == 0) continue;
+    facts.push_back({"tag", {Value::Int(z), Value::Int(z % 5)}});
+  }
+  return facts;
+}
+
+/// Every head tuple (an aggregate's key columns plus its input) one
+/// enumeration of `steps` instantiates, rendered, as a multiset.
+std::multiset<std::string> HeadTuples(Workspace* ws, const CompiledRule& rule,
+                                      const std::vector<Step>& steps,
+                                      const DeltaOverride* delta) {
+  EvalContext ctx{&ws->catalog()};
+  Executor executor(&ctx, ws);
+  std::multiset<std::string> out;
+  auto arg = [](const ArgPat& p, const Env& e) {
+    return p.kind == ArgPat::Kind::kConst ? p.constant : *e[p.slot];
+  };
+  Env env(rule.num_slots);
+  Status st = executor.Run(steps, &env, delta, [&](Env& e) -> Status {
+    if (rule.agg.has_value()) {
+      Tuple t;
+      for (const ArgPat& p : rule.agg->key_args) t.push_back(arg(p, e));
+      if (rule.agg->input_slot >= 0) t.push_back(*e[rule.agg->input_slot]);
+      out.insert(TupleToString(t, ws->catalog()));
+    }
+    for (const CompiledHead& head : rule.heads) {
+      Tuple t;
+      for (const ArgPat& p : head.args) t.push_back(arg(p, e));
+      out.insert(ws->catalog().decl(head.pred).name +
+                 TupleToString(t, ws->catalog()));
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return out;
+}
+
+TEST(PlannerTest, PlansEnumerateWrittenOrderBindings) {
+  Workspace ws;
+  Install(&ws, kRebindProgram);
+  ASSERT_TRUE(ws.Apply(RebindFacts()).ok());
+  ExecPlanner planner(&ws.catalog(), &ws, &ws.fixpoint_options());
+  bool forced_lookup = false, downgraded_assign = false, same_arg = false;
+  bool negation = false, builtin = false;
+  auto note = [&](const CompiledRule& rule, const VariantPlan& plan) {
+    for (size_t i = 0; i < plan.steps.size(); ++i) {
+      const Step& s = plan.steps[i];
+      const Step::Kind src = rule.steps[plan.source_index[i]].kind;
+      forced_lookup |=
+          src == Step::Kind::kLookup && s.kind == Step::Kind::kScan;
+      downgraded_assign |=
+          src == Step::Kind::kAssign && s.kind == Step::Kind::kCompare;
+      for (const ArgPat& p : s.args) same_arg |= p.kind == ArgPat::Kind::kSame;
+      negation |= s.kind == Step::Kind::kNegCheck;
+      builtin |= s.kind == Step::Kind::kBuiltin;
+    }
+  };
+  ASSERT_EQ(ws.compiled_rules().size(), 7u);
+  for (const CompiledRule& rule : ws.compiled_rules()) {
+    const std::string name = rule.source.ToString();
+    const VariantPlan& full = PlanOf(&planner, rule, ExecPlanner::kFullBody);
+    note(rule, full);
+    const auto want = HeadTuples(&ws, rule, rule.steps, nullptr);
+    EXPECT_FALSE(want.empty()) << name;
+    EXPECT_EQ(HeadTuples(&ws, rule, full.steps, nullptr), want)
+        << "full body of " << name;
+    for (int occ = 0; occ < rule.num_scan_occurrences; ++occ) {
+      // Every other row of the occurrence's relation, in value order so
+      // the slice is the same at every shard count: a semi-naïve delta.
+      const Relation* rel = ws.GetRelationIfExists(rule.scan_preds[occ]);
+      ASSERT_NE(rel, nullptr) << name;
+      std::vector<Tuple> rows = rel->AllTuples();
+      std::sort(rows.begin(), rows.end());
+      std::vector<Tuple> slice;
+      for (size_t i = 0; i < rows.size(); i += 2) slice.push_back(rows[i]);
+      DeltaOverride delta{occ, &slice, nullptr};
+      const VariantPlan& plan = PlanOf(&planner, rule, occ);
+      note(rule, plan);
+      const auto written = HeadTuples(&ws, rule, rule.steps, &delta);
+      EXPECT_FALSE(written.empty()) << name << " occ " << occ;
+      EXPECT_EQ(HeadTuples(&ws, rule, plan.steps, &delta), written)
+          << "variant " << occ << " of " << name;
+    }
+  }
+  EXPECT_TRUE(forced_lookup) << "no plan forced a functional lookup to a scan";
+  EXPECT_TRUE(downgraded_assign) << "no plan turned an assignment into =";
+  EXPECT_TRUE(same_arg) << "no plan carried a repeated-variable column";
+  EXPECT_TRUE(negation);
+  EXPECT_TRUE(builtin);
+}
+
+// ---------------------------------------------------------------------------
+// Equivalence: SB_SIMD={0,1} x SB_THREADS={1,4} x SB_SHARDS={1,7}.
 // ---------------------------------------------------------------------------
 
 // fig08-flavoured convergence plus deletion churn — recursion, a lattice
 // aggregate recomputing, counting deletes and group-local DRed all run
-// under both the baseline written-order bodies and the planner's
-// reordered ones.
+// through the planner's reordered bodies at every knob combination.
 const char* kConvergenceProgram = R"(
   node(X) -> .
   link(X, Y) -> node(X), node(Y).
@@ -357,15 +499,14 @@ std::vector<FactUpdate> ConvergenceLinks(int nodes, int degree) {
   return links;
 }
 
-TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
+TEST(PlannerTest, FixpointMatrixEquivalence) {
   struct Run {
     std::vector<Snapshot> trace;
     std::vector<std::vector<uint64_t>> counters;
   };
-  auto run = [&](bool plan, int threads, size_t shards, int simd) {
+  auto run = [&](int threads, size_t shards, int simd) {
     Run out;
     Workspace ws;
-    ws.fixpoint_options().plan = plan;
     ws.fixpoint_options().threads = threads;
     ws.fixpoint_options().shards = shards;
     ws.fixpoint_options().simd = simd;
@@ -385,26 +526,24 @@ TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
     }
     return out;
   };
-  Run base = run(false, 1, 1, /*simd=*/0);
+  Run base = run(1, 1, /*simd=*/0);
   ASSERT_FALSE(base.trace.empty());
   ASSERT_FALSE(base.trace[0].empty());
   for (int simd : {0, 1}) {
-    for (bool plan : {false, true}) {
-      for (int threads : {1, 4}) {
-        for (size_t shards : {size_t{1}, size_t{7}}) {
-          if (simd == 0 && !plan && threads == 1 && shards == 1) continue;
-          Run other = run(plan, threads, shards, simd);
-          ASSERT_EQ(base.trace.size(), other.trace.size());
-          for (size_t step = 0; step < base.trace.size(); ++step) {
-            EXPECT_EQ(base.trace[step], other.trace[step])
-                << "fixpoint diverged at step " << step << " plan=" << plan
-                << " threads=" << threads << " shards=" << shards
-                << " simd=" << simd;
-            EXPECT_EQ(base.counters[step], other.counters[step])
-                << "semantic counters diverged at step " << step
-                << " plan=" << plan << " threads=" << threads
-                << " shards=" << shards << " simd=" << simd;
-          }
+    for (int threads : {1, 4}) {
+      for (size_t shards : {size_t{1}, size_t{7}}) {
+        if (simd == 0 && threads == 1 && shards == 1) continue;
+        Run other = run(threads, shards, simd);
+        ASSERT_EQ(base.trace.size(), other.trace.size());
+        for (size_t step = 0; step < base.trace.size(); ++step) {
+          EXPECT_EQ(base.trace[step], other.trace[step])
+              << "fixpoint diverged at step " << step
+              << " threads=" << threads << " shards=" << shards
+              << " simd=" << simd;
+          EXPECT_EQ(base.counters[step], other.counters[step])
+              << "semantic counters diverged at step " << step
+              << " threads=" << threads << " shards=" << shards
+              << " simd=" << simd;
         }
       }
     }
@@ -416,7 +555,6 @@ TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
 TEST(PlannerTest, PlanBuildCountsThreadAndShardInvariant) {
   auto run = [&](int threads, size_t shards) {
     Workspace ws;
-    ws.fixpoint_options().plan = true;
     ws.fixpoint_options().threads = threads;
     ws.fixpoint_options().shards = shards;
     Install(&ws, kConvergenceProgram);
@@ -485,10 +623,9 @@ TEST(PlannerTest, ExplainDescribesChosenPlan) {
   }
   ASSERT_NE(rule, nullptr);
   ExecPlanner planner(&ws.catalog(), &ws, &ws.fixpoint_options());
-  const VariantPlan* vp = planner.PlanFor(*rule, ExecPlanner::kFullBody);
-  ASSERT_NE(vp, nullptr);
-  const std::string dump =
-      planner.Explain(*rule, ExecPlanner::kFullBody, *vp);
+  const std::string dump = planner.Explain(
+      *rule, ExecPlanner::kFullBody,
+      PlanOf(&planner, *rule, ExecPlanner::kFullBody));
   EXPECT_NE(dump.find("[plan] rule#"), std::string::npos);
   EXPECT_NE(dump.find("variant=full"), std::string::npos);
   EXPECT_NE(dump.find("scan filt"), std::string::npos);
@@ -507,8 +644,8 @@ TEST(PlannerTest, ExplainDescribesChosenPlan) {
   EXPECT_NE(dump.find("via=dict"), std::string::npos) << dump;
   EXPECT_NE(dump.find("via=size"), std::string::npos) << dump;
   EXPECT_NE(dump.find("distinct=50"), std::string::npos) << dump;
-  const std::string delta_dump = planner.Explain(
-      *rule, 0, *planner.PlanFor(*rule, 0));
+  const std::string delta_dump =
+      planner.Explain(*rule, 0, PlanOf(&planner, *rule, 0));
   EXPECT_NE(delta_dump.find("variant=d0"), std::string::npos);
   EXPECT_NE(delta_dump.find("est=delta"), std::string::npos);
 
@@ -535,23 +672,19 @@ TEST(PlannerTest, ExplainDescribesChosenPlan) {
   ASSERT_NE(pair_rule, nullptr);
   ExecPlanner pair_planner(&pair_ws.catalog(), &pair_ws,
                            &pair_ws.fixpoint_options());
-  const VariantPlan* pvp =
-      pair_planner.PlanFor(*pair_rule, ExecPlanner::kFullBody);
-  ASSERT_NE(pvp, nullptr);
-  const std::string pair_dump =
-      pair_planner.Explain(*pair_rule, ExecPlanner::kFullBody, *pvp);
+  const std::string pair_dump = pair_planner.Explain(
+      *pair_rule, ExecPlanner::kFullBody,
+      PlanOf(&pair_planner, *pair_rule, ExecPlanner::kFullBody));
   EXPECT_NE(pair_dump.find("scan big3"), std::string::npos) << pair_dump;
   EXPECT_NE(pair_dump.find("via=stat"), std::string::npos) << pair_dump;
   EXPECT_NE(pair_dump.find("distinct=50"), std::string::npos) << pair_dump;
 }
 
 TEST(PlannerTest, EnvironmentKnobsParsed) {
-  ASSERT_EQ(setenv("SB_PLAN", "0", 1), 0);
   ASSERT_EQ(setenv("SB_EXPLAIN", "1", 1), 0);
   ASSERT_EQ(setenv("SB_SIMD", "0", 1), 0);
   {
     Workspace ws;
-    EXPECT_FALSE(ws.fixpoint_options().plan);
     EXPECT_TRUE(ws.fixpoint_options().explain);
     EXPECT_EQ(ws.fixpoint_options().simd, 0);
   }
@@ -565,17 +698,19 @@ TEST(PlannerTest, EnvironmentKnobsParsed) {
     Workspace ws;
     EXPECT_EQ(ws.fixpoint_options().simd, 2);
   }
-  ASSERT_EQ(setenv("SB_PLAN", "garbage", 1), 0);
   ASSERT_EQ(setenv("SB_SIMD", "7", 1), 0);
   ASSERT_EQ(unsetenv("SB_EXPLAIN"), 0);
   {
     Workspace ws;
-    EXPECT_TRUE(ws.fixpoint_options().plan) << "garbage keeps the default";
     EXPECT_FALSE(ws.fixpoint_options().explain);
     EXPECT_EQ(ws.fixpoint_options().simd, 2)
         << "out-of-range keeps the auto default";
   }
-  ASSERT_EQ(unsetenv("SB_PLAN"), 0);
+  ASSERT_EQ(setenv("SB_SIMD", "garbage", 1), 0);
+  {
+    Workspace ws;
+    EXPECT_EQ(ws.fixpoint_options().simd, 2) << "garbage keeps the default";
+  }
   ASSERT_EQ(unsetenv("SB_SIMD"), 0);
 }
 

@@ -1,6 +1,6 @@
 // Query-driven evaluation (engine/query): magic-sets answers pinned
-// byte-identical against the materialized fixpoint across the planner /
-// SIMD / threads / shards knob matrix, including after
+// byte-identical against the materialized fixpoint across the SIMD /
+// threads / shards knob matrix, including after
 // delete-delta churn; memo warm hits; install-after-query reconciliation;
 // fallback slices for aggregates and negation; and the NodeRuntime
 // query-serving front end under concurrent readers.
@@ -171,7 +171,7 @@ TEST(QueryTest, AllFreeGoalFallsBackToFullSlice) {
 }
 
 // The acceptance gate: answers are byte-identical (same rendered strings,
-// same sorted order) across planner x SIMD x threads x shards,
+// same sorted order) across SIMD x threads x shards,
 // including after delete-delta churn.
 TEST(QueryTest, KnobMatrixDifferential) {
   Workspace mat;
@@ -192,13 +192,12 @@ TEST(QueryTest, KnobMatrixDifferential) {
   bool have_first = false;
   for (int threads : {1, 4}) {
     for (size_t shards : {size_t{1}, size_t{7}}) {
-      for (int mask = 0; mask < 4; ++mask) {
+      for (int simd = 0; simd < 2; ++simd) {
         Workspace qws;
         qws.set_defer_rules(true);
         qws.fixpoint_options().threads = threads;
         qws.fixpoint_options().shards = shards;
-        qws.fixpoint_options().plan = (mask & 1) != 0;
-        qws.fixpoint_options().simd = (mask & 2) ? 1 : 0;
+        qws.fixpoint_options().simd = simd;
         Install(&qws, kGraphSchema);
         ASSERT_TRUE(qws.Apply(LineLinks(6)).ok());
         QueryEngine qe(&qws);
@@ -224,7 +223,7 @@ TEST(QueryTest, KnobMatrixDifferential) {
         } else {
           EXPECT_EQ(r_bf, first_bf) << "threads=" << threads
                                     << " shards=" << shards
-                                    << " mask=" << mask;
+                                    << " simd=" << simd;
           EXPECT_EQ(r_fb, first_fb);
         }
       }
