@@ -4,7 +4,7 @@
 // and resolved to the best host level (auto):
 //
 //   wide_filter_scan — a wide selective filter scan that the planner
-//     sends down the kScanAll batch path:
+//     sends down the linear batch path (Step::scan_all):
 //       hit(K) <- tick(T), span(K, T, "pad..").
 //     span has two distinct (T, pad) filter pairs, so the tracked
 //     two-column statistic estimates half the relation matches and the

@@ -446,6 +446,8 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
                                 "predicate: " + rule.ToString());
   }
   for (Step& s : out.steps) {
+    // A thread-unsafe builtin keeps the rule's enumeration on the
+    // coordinating thread (CompiledRule::parallel_safe).
     if (s.kind == Step::Kind::kBuiltin && !s.builtin->thread_safe) {
       out.parallel_safe = false;
     }
@@ -548,7 +550,7 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
     out.existential_types.push_back(type);
   }
   // Head existentials create entities (catalog + memo mutation) during
-  // enumeration, so such rules stay on the sequential merge phase.
+  // enumeration, so such rules enumerate on the coordinating thread.
   if (!out.existential_slots.empty()) out.parallel_safe = false;
   out.memo_key_slots.assign(memo_slots.begin(), memo_slots.end());
   out.num_slots = slots.size();
@@ -677,12 +679,12 @@ bool TupleMatches(const std::vector<ArgPat>& pats, const Tuple& tuple,
 }
 
 // Per-occurrence view for this step, or nullptr for a plain relation read.
-const OccView* ViewFor(const DeltaOverride* delta, const Step& step) {
-  if (delta == nullptr || delta->views == nullptr || step.occurrence < 0 ||
-      static_cast<size_t>(step.occurrence) >= delta->views->size()) {
+const OccView* ViewFor(const std::vector<OccView>* views, const Step& step) {
+  if (views == nullptr || step.occurrence < 0 ||
+      static_cast<size_t>(step.occurrence) >= views->size()) {
     return nullptr;
   }
-  const OccView& v = (*delta->views)[step.occurrence];
+  const OccView& v = (*views)[step.occurrence];
   return v.active() ? &v : nullptr;
 }
 
@@ -727,7 +729,7 @@ thread_local size_t t_frame_top = 0;
 
 }  // namespace
 
-bool HasMatch(Relation& rel, uint32_t mask, const Tuple& key, bool fanout,
+bool HasMatch(Relation& rel, uint32_t mask, const Tuple& key,
               const TupleSet* exclude) {
   auto live = [&](size_t sh, size_t slot) {
     return exclude == nullptr ||
@@ -745,7 +747,7 @@ bool HasMatch(Relation& rel, uint32_t mask, const Tuple& key, bool fanout,
     }
     return false;
   }
-  const int only = fanout ? -1 : rel.ProbeShardOf(mask, key);
+  const int only = rel.ProbeShardOf(mask, key);
   const size_t begin = only >= 0 ? static_cast<size_t>(only) : 0;
   const size_t end =
       only >= 0 ? static_cast<size_t>(only) + 1 : rel.shard_count();
@@ -762,7 +764,7 @@ uint64_t EvalFrameAllocs() {
 }
 
 Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
-                         const DeltaOverride* delta,
+                         const std::vector<OccView>* views,
                          const std::function<Status(Env&)>& on_match) {
   if (idx == steps.size()) return on_match(env);
   const Step& step = steps[idx];
@@ -770,7 +772,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
   switch (step.kind) {
     case Step::Kind::kScan: {
       Relation* rel = store_.GetRelation(step.pred);
-      const OccView* view = ViewFor(delta, step);
+      const OccView* view = ViewFor(views, step);
       EvalFrame& frame = t_frames[frame_base_ + idx];
       auto try_tuple = [&](const Tuple& t) -> Status {
         if (!TupleMatches(step.args, t, env)) return Status::OK();
@@ -781,7 +783,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
             frame.bound_here.push_back(step.args[i].slot);
           }
         }
-        Status st = RunFrom(steps, idx + 1, env, delta, on_match);
+        Status st = RunFrom(steps, idx + 1, env, views, on_match);
         for (int s : frame.bound_here) env[s].reset();
         return st;
       };
@@ -795,13 +797,6 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         for (size_t k = view->only_begin; k < end; ++k) {
           const Tuple& t =
               oi != nullptr ? (*view->only)[(*oi)[k]] : (*view->only)[k];
-          SB_RETURN_IF_ERROR(try_tuple(t));
-        }
-        return Status::OK();
-      }
-      if (view == nullptr && delta != nullptr &&
-          delta->occurrence == step.occurrence) {
-        for (const Tuple& t : *delta->tuples) {
           SB_RETURN_IF_ERROR(try_tuple(t));
         }
         return Status::OK();
@@ -899,7 +894,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
             frame.bound_here.push_back(step.args[i].slot);
           }
         }
-        Status st = RunFrom(steps, idx + 1, env, delta, on_match);
+        Status st = RunFrom(steps, idx + 1, env, views, on_match);
         for (int s : frame.bound_here) env[s].reset();
         return st;
       };
@@ -913,7 +908,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         }
         return frame.kernel_filters.data();
       };
-      if (mask != 0 && step.probe != Step::Probe::kScanAll) {
+      if (mask != 0 && !step.scan_all) {
         Tuple& key = frame.key;
         key.clear();
         for (int col : step.key_cols) {
@@ -925,11 +920,9 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         // head insertions), so the probe result stays valid — see the
         // reference-stability contract in relation.h. A probe that covers
         // the shard key touches exactly one shard; otherwise it fans out
-        // over the shards in order. Planner-built steps carry the choice
-        // statically; kAuto (constraint bodies) resolves it here per call.
-        const int only = step.probe == Step::Probe::kFanout
-                             ? -1
-                             : rel->ProbeShardOf(mask, key);
+        // over the shards in order. The only static choice is the
+        // planner's scan_all (the linear pass below).
+        const int only = rel->ProbeShardOf(mask, key);
         const size_t begin = only >= 0 ? static_cast<size_t>(only) : 0;
         const size_t end =
             only >= 0 ? static_cast<size_t>(only) + 1 : rel->shard_count();
@@ -990,7 +983,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
     }
 
     case Step::Kind::kLookup: {
-      const OccView* view = ViewFor(delta, step);
+      const OccView* view = ViewFor(views, step);
       // Enumerate one candidate row (keys already matched elsewhere or
       // checked via TupleMatches by the caller).
       auto try_row = [&](const Tuple& t) -> Status {
@@ -998,33 +991,25 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         const Value& v = t.back();
         if (vp.kind == ArgPat::Kind::kConst) {
           if (!(v == vp.constant)) return Status::OK();
-          return RunFrom(steps, idx + 1, env, delta, on_match);
+          return RunFrom(steps, idx + 1, env, views, on_match);
         }
         if (vp.kind == ArgPat::Kind::kBound) {
           if (!(v == *env[vp.slot])) return Status::OK();
-          return RunFrom(steps, idx + 1, env, delta, on_match);
+          return RunFrom(steps, idx + 1, env, views, on_match);
         }
         env[vp.slot] = v;
-        Status st = RunFrom(steps, idx + 1, env, delta, on_match);
+        Status st = RunFrom(steps, idx + 1, env, views, on_match);
         env[vp.slot].reset();
         return st;
       };
       // Delta variant: iterate the delta like a scan (keys are bound, so
       // this is a cheap filter).
-      const std::vector<Tuple>* only =
-          view != nullptr
-              ? view->only
-              : (delta != nullptr && delta->occurrence == step.occurrence
-                     ? delta->tuples
-                     : nullptr);
-      if (only != nullptr) {
-        const std::vector<uint32_t>* oi =
-            view != nullptr ? view->only_index : nullptr;
+      if (view != nullptr && view->only != nullptr) {
+        const std::vector<Tuple>* only = view->only;
+        const std::vector<uint32_t>* oi = view->only_index;
         const size_t limit = oi != nullptr ? oi->size() : only->size();
-        size_t begin = view != nullptr ? view->only_begin : 0;
-        size_t end =
-            std::min(view != nullptr ? view->only_end : SIZE_MAX, limit);
-        for (size_t k = begin; k < end; ++k) {
+        const size_t end = std::min(view->only_end, limit);
+        for (size_t k = view->only_begin; k < end; ++k) {
           const Tuple& t = oi != nullptr ? (*only)[(*oi)[k]] : (*only)[k];
           if (!TupleMatches(step.args, t, env)) continue;
           SB_RETURN_IF_ERROR(try_row(t));
@@ -1062,7 +1047,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
     case Step::Kind::kNegCheck: {
       // A view describes the relation's pre-change state: rows inserted
       // since are excluded, rows erased since come back as extras.
-      const OccView* view = ViewFor(delta, step);
+      const OccView* view = ViewFor(views, step);
       if (view != nullptr && view->extra != nullptr) {
         for (const Tuple& t : *view->extra) {
           if (TupleMatches(step.args, t, env)) return Status::OK();
@@ -1070,7 +1055,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       }
       Relation* rel = store_.GetRelation(step.pred);
       if (rel == nullptr || rel->empty()) {
-        return RunFrom(steps, idx + 1, env, delta, on_match);
+        return RunFrom(steps, idx + 1, env, views, on_match);
       }
       Tuple& key = t_frames[frame_base_ + idx].key;
       key.clear();
@@ -1080,11 +1065,10 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
                                                      : *env[p.slot]);
       }
       if (HasMatch(*rel, step.probe_mask, key,
-                   step.probe == Step::Probe::kFanout,
                    view != nullptr ? view->exclude : nullptr)) {
         return Status::OK();  // negation fails
       }
-      return RunFrom(steps, idx + 1, env, delta, on_match);
+      return RunFrom(steps, idx + 1, env, views, on_match);
     }
 
     case Step::Kind::kCompare: {
@@ -1092,13 +1076,13 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       SB_ASSIGN_OR_RETURN(Value r, Eval(*step.rhs, env));
       SB_ASSIGN_OR_RETURN(bool pass, Compare(l, step.cmp_op, r));
       if (!pass) return Status::OK();
-      return RunFrom(steps, idx + 1, env, delta, on_match);
+      return RunFrom(steps, idx + 1, env, views, on_match);
     }
 
     case Step::Kind::kAssign: {
       SB_ASSIGN_OR_RETURN(Value v, Eval(*step.rhs, env));
       env[step.assign_slot] = std::move(v);
-      Status st = RunFrom(steps, idx + 1, env, delta, on_match);
+      Status st = RunFrom(steps, idx + 1, env, views, on_match);
       env[step.assign_slot].reset();
       return st;
     }
@@ -1139,7 +1123,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         }
       }
       Status st = Status::OK();
-      if (ok) st = RunFrom(steps, idx + 1, env, delta, on_match);
+      if (ok) st = RunFrom(steps, idx + 1, env, views, on_match);
       for (int s : frame.bound_here) env[s].reset();
       return st;
     }
@@ -1149,14 +1133,14 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       const Value& v =
           p.kind == ArgPat::Kind::kConst ? p.constant : *env[p.slot];
       if (v.kind() != step.check_kind) return Status::OK();
-      return RunFrom(steps, idx + 1, env, delta, on_match);
+      return RunFrom(steps, idx + 1, env, views, on_match);
     }
   }
   return Status::Internal("bad step kind");
 }
 
 Status Executor::Run(const std::vector<Step>& steps, Env* env,
-                     const DeltaOverride* delta,
+                     const std::vector<OccView>* views,
                      const std::function<Status(Env&)>& on_match) {
   // Claim a window of per-depth frames above any enclosing Run on this
   // thread (the constraint checker nests an rhs Exists inside its lhs
@@ -1177,7 +1161,7 @@ Status Executor::Run(const std::vector<Step>& steps, Env* env,
     t_frames.back().kernel_filters.reserve(8);
     g_frame_allocs.fetch_add(1, std::memory_order_relaxed);
   }
-  Status st = RunFrom(steps, 0, *env, delta, on_match);
+  Status st = RunFrom(steps, 0, *env, views, on_match);
   t_frame_top = saved_top;
   frame_base_ = saved_base;
   return st;

@@ -77,16 +77,6 @@ struct Step {
     kBuiltin,   // builtin function call
     kTypeCheck, // primitive type predicate over a bound slot
   };
-  /// How a kScan/kNegCheck step reads its relation. The compiler leaves
-  /// kAuto (resolve single-shard vs fan-out from the mask per call), which
-  /// only constraint bodies execute — they run unplanned; every rule body
-  /// runs a planner-built step list carrying an explicit choice.
-  enum class Probe : uint8_t {
-    kAuto,        // decide per call from probe_mask and the shard key
-    kScanAll,     // no bound columns: walk every shard's tuple array
-    kShardProbe,  // mask covers the shard key: probe exactly one shard
-    kFanout,      // indexed probe fanned out over all shards
-  };
   Kind kind;
   datalog::PredId pred = datalog::kInvalidPred;
   std::vector<ArgPat> args;
@@ -103,7 +93,13 @@ struct Step {
   /// materializes keys from without re-inspecting arg kinds.
   uint32_t probe_mask = 0;
   std::vector<int> key_cols;
-  Probe probe = Probe::kAuto;
+  /// A kScan with bound columns makes one linear pass over every shard
+  /// instead of probing the index on `probe_mask`. Only the planner sets
+  /// it, when the bound columns are expected to keep a quarter or more of
+  /// the relation; both ways enumerate the same rows in the same order. An
+  /// index probe touches one shard when the mask covers the shard key
+  /// (Relation::ProbeShardOf), every shard otherwise.
+  bool scan_all = false;
 };
 
 /// Recompute each step's static probe info (probe_mask / key_cols) from its
@@ -135,7 +131,7 @@ struct VariantPlan {
 /// full-body plan, slot occ+1 the occurrence-`occ` variant — the scan
 /// occurrences first, then the negated ones (CompiledRule::neg_preds).
 /// Sized once (plans hand out interior pointers) and mutated only by the
-/// planner from the fixpoint's single-threaded merge phase.
+/// planner, on the fixpoint's coordinating thread.
 struct RulePlanCache {
   std::vector<std::optional<VariantPlan>> variants;
 };
@@ -176,7 +172,8 @@ struct CompiledRule {
   std::vector<int> memo_key_slots;  // bound slots used anywhere in heads
   /// Body enumeration is free of side effects (no head existentials, no
   /// thread-unsafe builtins), so the parallel fixpoint may run it on
-  /// worker threads; other rules are pinned to the sequential merge phase.
+  /// worker threads. Other rules stage like every rule but enumerate on
+  /// the coordinating thread, before the pool starts.
   bool parallel_safe = true;
   /// Cost-based plans per semi-naïve variant (see RulePlanCache). Shared
   /// across copies of the compiled rule; null only for value-initialized
@@ -213,10 +210,11 @@ class RuleCompiler {
 
 using TupleSet = std::unordered_set<Tuple, TupleHash>;
 
-/// Per-occurrence relation view for exact (counting) delta enumeration:
-///  - `only`: the occurrence reads exactly these tuples (a delta), or the
-///    [only_begin, only_end) slice of them — the parallel fixpoint chunks
-///    a large delta across workers without copying it;
+/// Per-occurrence relation view, the one way a body reads a delta:
+///  - `only`: the occurrence reads exactly these tuples (a semi-naïve
+///    delta, a constraint's inserted tuples), or the [only_begin, only_end)
+///    slice of them — the parallel fixpoint chunks a large delta across
+///    workers without copying it;
 ///  - `exclude`: tuples skipped when reading the relation (deltas that a
 ///    variant with a later occurrence will cover, or queued inserts whose
 ///    derivations have not been counted yet);
@@ -239,23 +237,12 @@ struct OccView {
   bool active() const { return only || exclude || extra; }
 };
 
-/// Delta override: scan occurrence `occurrence` reads `tuples` instead of
-/// the full relation (semi-naïve variants, constraint delta checks).
-/// `views`, when set, gives a per-occurrence view and wins over the
-/// single-occurrence shorthand.
-struct DeltaOverride {
-  int occurrence = -1;
-  const std::vector<Tuple>* tuples = nullptr;
-  const std::vector<OccView>* views = nullptr;
-};
-
 /// Does `rel` hold a row, outside `exclude`, whose `mask` columns (bit i =
 /// column i) equal `key` (the bound values in column order)? Mask 0 asks
-/// whether any row is left. `fanout` probes every shard even when the mask
-/// covers the shard key. The negation probe and the counting path's
+/// whether any row is left. The negation probe and the counting path's
 /// flip classification share this test; worker threads may call it only
 /// for masks whose index is warm (Relation::EnsureIndex).
-bool HasMatch(Relation& rel, uint32_t mask, const Tuple& key, bool fanout,
+bool HasMatch(Relation& rel, uint32_t mask, const Tuple& key,
               const TupleSet* exclude);
 
 /// Executes compiled step lists.
@@ -269,9 +256,12 @@ class Executor {
       : ctx_(*ctx), store_(*store), simd_(simd) {}
 
   /// Enumerate all bindings of `steps`; invoke `on_match` for each.
-  /// `on_match` returning an error aborts enumeration.
+  /// `views`, when set, is indexed by occurrence: a step whose occurrence
+  /// has an active view reads the relation through it (OccView); other
+  /// steps read the whole relation. `on_match` returning an error aborts
+  /// enumeration.
   Status Run(const std::vector<Step>& steps, Env* env,
-             const DeltaOverride* delta,
+             const std::vector<OccView>* views,
              const std::function<Status(Env&)>& on_match);
 
   /// Existence check: do `steps` admit at least one binding, starting from
@@ -287,7 +277,7 @@ class Executor {
 
  private:
   Status RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
-                 const DeltaOverride* delta,
+                 const std::vector<OccView>* views,
                  const std::function<Status(Env&)>& on_match);
 
   EvalContext& ctx_;

@@ -463,12 +463,12 @@ void FixpointDriver::WarmSteps(const std::vector<Step>& steps) {
     }
     Relation* rel = store_.GetRelation(s.pred);
     if (rel == nullptr) continue;
-    if (s.probe != Step::Probe::kScanAll) {
+    if (!s.scan_all) {
       // Bound-column masks are precomputed per step (ComputeProbeInfo) —
       // exactly what Executor::RunFrom probes with.
       if (s.probe_mask != 0) rel->EnsureIndex(s.probe_mask);
-    } else if (s.kind == Step::Kind::kScan && s.key_cols.size() == 1) {
-      // Only a planner-built scan-all step with exactly one bound column
+    } else if (s.key_cols.size() == 1) {
+      // Only a planner-chosen linear pass with exactly one bound column
       // takes the executor's sorted-run path.
       rel->EnsureSortedRuns(static_cast<size_t>(s.key_cols[0]));
     }
@@ -500,17 +500,16 @@ Status FixpointDriver::RunStagedTasks(
     views[t.occ].only_index = t.only_index;
     views[t.occ].only_begin = t.lo;
     views[t.occ].only_end = t.hi;
-    DeltaOverride override;
-    override.views = &views;
     Executor executor(&ctx_, &store_, ResolveSimdMode(options_.simd));
     Env env(t.rule->num_slots);
     t.status = executor.Run(
-        *t.steps, &env, &override, [&](Env& e) -> Status {
+        *t.steps, &env, &views, [&](Env& e) -> Status {
           return InstantiateHeads(*t.rule, e, &t.pending);
         });
   };
   // Rules with side effects (head existentials, thread-unsafe builtins)
-  // enumerate on this thread, before the pool starts.
+  // enumerate on this thread, before the pool starts. They stage like
+  // every rule, so they too read the frozen pre-round state.
   WorkerPool* p = pool();
   std::vector<std::function<void()>> fns;
   for (auto& t : *tasks) {
@@ -627,13 +626,14 @@ Status FixpointDriver::RunWave(const std::vector<int>& wave) {
     }
     if (rounds.empty()) return Status::OK();
 
-    // Enumeration phase: chunked semi-naïve variants of every
-    // parallel-safe rule with a delta, run against the frozen pre-round
-    // state. Nothing mutates the database until the merge phase, so the
-    // tasks are pure reads staging into private buffers. Each rule's
-    // tasks are contiguous; `staged` records the range for the merge.
+    // Enumeration phase: chunked semi-naïve variants of every rule with a
+    // delta, run against the frozen pre-round state. Nothing mutates the
+    // database until the merge phase, so the tasks are pure reads staging
+    // into private buffers. Each member's tasks are contiguous, in
+    // install-order rules; `staged_end` records where each member's tasks
+    // end.
     std::vector<std::unique_ptr<EnumTask>> tasks;
-    std::map<std::pair<int, size_t>, std::pair<size_t, size_t>> staged;
+    std::vector<size_t> staged_end;
     for (auto& [gid, delta] : rounds) {
       for (size_t idx : graph_.group(gid).rules) {
         const CompiledRule& rule = rules_[idx];
@@ -643,35 +643,22 @@ Status FixpointDriver::RunWave(const std::vector<int>& wave) {
           continue;
         }
         ++stats_.rule_firings;
-        if (rule.parallel_safe) {
-          size_t begin = tasks.size();
-          SB_RETURN_IF_ERROR(StageVariantTasks(rule, idx, gid, delta,
-                                               /*retract=*/false, &tasks));
-          staged[{gid, idx}] = {begin, tasks.size()};
-        }
+        SB_RETURN_IF_ERROR(StageVariantTasks(rule, idx, gid, delta,
+                                             /*retract=*/false, &tasks));
       }
+      staged_end.push_back(tasks.size());
     }
     SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
 
     // Merge phase: strictly sequential and in a fixed order — wave
     // (topological) group order, install-order rules, staged chunk order —
-    // so insertion order, entity interning, and FD-conflict detection are
-    // reproducible at every thread count.
-    for (auto& [gid, delta] : rounds) {
+    // so insertion order and FD-conflict detection are reproducible at
+    // every thread count.
+    for (size_t r = 0; r < rounds.size(); ++r) {
+      const auto& [gid, delta] = rounds[r];
       const RuleGroup& group = graph_.group(gid);
-      for (size_t idx : group.rules) {
-        const CompiledRule& rule = rules_[idx];
-        if (rule.agg.has_value()) continue;
-        if (!HasDeltaFor(rule, delta)) continue;
-        if (rule.parallel_safe) {
-          const auto& [begin, end] = staged.at({gid, idx});
-          SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, begin, end));
-        } else {
-          // Side effects (head existentials, thread-unsafe builtins):
-          // classic sequential evaluation against the live state.
-          SB_RETURN_IF_ERROR(RunRuleVariants(rule, delta, gid));
-        }
-      }
+      const size_t begin = r == 0 ? 0 : staged_end[r - 1];
+      SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, begin, staged_end[r]));
       // Lattice aggregates re-run after every round of their group.
       for (size_t idx : group.rules) {
         const CompiledRule& rule = rules_[idx];
@@ -873,11 +860,10 @@ void FixpointDriver::FlippedKeys(const CompiledRule& rule, int occ,
     if (!key.has_value() || !seen.insert(*key).second) return;
     probe.clear();
     for (int col : lit->key_cols) probe.push_back((*key)[col]);
-    const bool now = HasMatch(rel, lit->probe_mask, probe, /*fanout=*/false,
-                              /*exclude=*/nullptr);
+    const bool now =
+        HasMatch(rel, lit->probe_mask, probe, /*exclude=*/nullptr);
     const bool before = erased_keys.count(*key) > 0 ||
-                        HasMatch(rel, lit->probe_mask, probe,
-                                 /*fanout=*/false, &added_rows);
+                        HasMatch(rel, lit->probe_mask, probe, &added_rows);
     if (now && !before) {
       on->push_back(std::move(*key));
     } else if (before && !now) {
@@ -931,40 +917,6 @@ Status FixpointDriver::InstantiateHeads(
     pending->emplace_back(head.pred, std::move(t));
   }
   for (int s : bound_here) env[s].reset();
-  return Status::OK();
-}
-
-Status FixpointDriver::RunRuleVariants(const CompiledRule& rule,
-                                       const DeltaMap& delta, int gid) {
-  Executor executor(&ctx_, &store_, ResolveSimdMode(options_.simd));
-  std::vector<std::pair<PredId, Tuple>> pending;
-  // Tuples born earlier in the current round (queued for the next one):
-  // enumerating against them now would count their instantiations twice.
-  const DeltaMap& next = delta_[gid].adds;
-  const int n = rule.num_scan_occurrences;
-
-  for (int occ = 0; occ < n; ++occ) {
-    auto it = delta.find(rule.scan_preds[occ]);
-    if (it == delta.end() || it->second.empty()) continue;
-    std::vector<OccView> views(n);
-    std::vector<TupleSet> excl(n);
-    views[occ].only = &it->second;
-    BuildVariantViews(rule, delta, next, occ, /*retract=*/false, &views,
-                      &excl);
-    DeltaOverride override;
-    override.views = &views;
-    SB_ASSIGN_OR_RETURN(const VariantPlan* plan, planner_.PlanFor(rule, occ));
-    Env env(rule.num_slots);
-    SB_RETURN_IF_ERROR(executor.Run(
-        plan->steps, &env, &override,
-        [&](Env& e) -> Status {
-          return InstantiateHeads(rule, e, &pending);
-        }));
-  }
-
-  for (auto& [pred, tuple] : pending) {
-    SB_RETURN_IF_ERROR(Derive(pred, tuple));
-  }
   return Status::OK();
 }
 

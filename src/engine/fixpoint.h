@@ -10,21 +10,20 @@
 // them together is indistinguishable from draining them one at a time.
 //
 // Each wave round splits into two phases:
-//   - an *enumeration* phase that fires every parallel-safe rule's
-//     semi-naïve variants on the worker pool, with each delta first cut on
-//     the target relation's shard boundaries (equal-shard-key tuples stay
-//     together — shard-local probes are cache-local) and large shard
-//     partitions further split into fixed-size windows so one rule's
-//     firing spreads across workers; relations
-//     are frozen (no writer exists), so enumeration is a pure read against
-//     the pre-round snapshot and tasks stage derived tuples into private
-//     buffers;
+//   - an *enumeration* phase that fires every rule's semi-naïve variants
+//     on the worker pool, with each delta first cut on the target
+//     relation's shard boundaries (equal-shard-key tuples stay together —
+//     shard-local probes are cache-local) and large shard partitions
+//     further split into fixed-size windows so one rule's firing spreads
+//     across workers; relations are frozen (no writer exists), so
+//     enumeration is a pure read against the pre-round snapshot and tasks
+//     stage derived tuples into private buffers. Rules with side effects
+//     (head existentials, thread-unsafe builtins) stage the same way but
+//     enumerate on the coordinating thread before the pool starts;
 //   - a *merge* phase on the coordinating thread that applies the staged
 //     buffers in a fixed order (group, rule, occurrence, shard, window),
-//     runs
-//     rules with side effects (head existentials, thread-unsafe builtins)
-//     the classic sequential way, re-runs lattice aggregates, and routes
-//     new deltas into the (multi-producer) per-group queues.
+//     re-runs lattice aggregates, and routes new deltas into the
+//     (multi-producer) per-group queues.
 //
 // The work decomposition — waves, rounds, chunks, merge order — depends
 // only on the program, the data, and the shard count, never on the thread
@@ -67,9 +66,10 @@
 //     the net change.
 //
 // The driver mutates the database exclusively through the FixpointHost
-// interface — only ever from the merge phase — so the workspace keeps
-// single-threaded ownership of undo logging, entity interning, and
-// base-fact bookkeeping.
+// interface — only ever from the coordinating thread: the merge phase,
+// plus BindExistentials while side-effect rules enumerate before the pool
+// starts — so the workspace keeps single-threaded ownership of undo
+// logging, entity interning, and base-fact bookkeeping.
 #ifndef SECUREBLOX_ENGINE_FIXPOINT_H_
 #define SECUREBLOX_ENGINE_FIXPOINT_H_
 
@@ -269,10 +269,6 @@ class FixpointDriver {
   /// Drain every wave member to its local fixpoint: rounds of a parallel
   /// enumeration phase followed by a deterministic sequential merge.
   Status RunWave(const std::vector<int>& wave);
-  /// Sequential (merge-phase) evaluation of one rule's insert variants —
-  /// rules with side effects, and the pre-parallel reference semantics.
-  Status RunRuleVariants(const CompiledRule& rule, const DeltaMap& delta,
-                         int gid);
   /// Counting retraction / group-local DRed dispatch for one group's
   /// pending delete deltas and negation flips. On the counting path the
   /// supports that fall are dropped here; those that rise wait in rises_.
@@ -336,16 +332,16 @@ class FixpointDriver {
                          const std::shared_ptr<std::vector<TupleSet>>& excl,
                          std::vector<std::unique_ptr<EnumTask>>* tasks);
   /// Run staged tasks on the pool (inline when threads=1, and always for
-  /// rules with side effects); fails with the first task error in staging
-  /// order.
+  /// rules with side effects, which run first); fails with the first task
+  /// error in staging order.
   Status RunStagedTasks(std::vector<std::unique_ptr<EnumTask>>* tasks);
   /// Warm what worker threads will read while running `steps`: the
   /// secondary index of every bound-column probe, and the sorted-run
-  /// metadata of every single-column filtered full scan (planner-chosen
-  /// kScanAll probes — the executor only takes the run fast path when the
-  /// cache is current, Relation::SortedRunBoundsIfWarm).
+  /// metadata of every single-column filtered linear pass (Step::scan_all
+  /// — the executor only takes the run fast path when the cache is
+  /// current, Relation::SortedRunBoundsIfWarm).
   void WarmSteps(const std::vector<Step>& steps);
-  /// Apply the staged buffers tasks[begin, end) — one rule's contiguous
+  /// Apply the staged buffers tasks[begin, end) — one group's contiguous
   /// staging range — in order: InsertHeadTuple for insert tasks,
   /// RetractSupport for retract tasks.
   Status ApplyStagedTasks(std::vector<std::unique_ptr<EnumTask>>& tasks,

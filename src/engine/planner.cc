@@ -210,14 +210,10 @@ const char* KindName(Step::Kind k) {
   return "?";
 }
 
-const char* ProbeName(Step::Probe p) {
-  switch (p) {
-    case Step::Probe::kAuto:       return "auto";
-    case Step::Probe::kScanAll:    return "scan-all";
-    case Step::Probe::kShardProbe: return "shard";
-    case Step::Probe::kFanout:     return "fanout";
-  }
-  return "?";
+/// How a scan or negation reads its relation: a linear pass when nothing
+/// is bound or the planner chose one, an index probe otherwise.
+const char* ProbeName(const Step& s) {
+  return s.scan_all || s.probe_mask == 0 ? "scan-all" : "index";
 }
 
 const char* SourceName(EstimateSource s) {
@@ -339,11 +335,8 @@ Result<VariantPlan> ExecPlanner::Build(const CompiledRule& rule,
 
   ComputeProbeInfo(&plan.steps);
   for (Step& s : plan.steps) {
-    if (s.kind != Step::Kind::kScan && s.kind != Step::Kind::kNegCheck) {
-      continue;
-    }
+    if (s.kind != Step::Kind::kScan || s.probe_mask == 0) continue;
     Relation* rel = store_.GetRelation(s.pred);
-    const uint32_t skm = rel != nullptr ? rel->shard_key_mask() : 0;
     // A probe expected to keep a quarter or more of the relation
     // saves little filtering over a linear pass, and the pass runs through
     // the SIMD filter kernels on contiguous code vectors (engine/kernels.h)
@@ -352,18 +345,11 @@ Result<VariantPlan> ExecPlanner::Build(const CompiledRule& rule,
     // call — a bare-size default would send every untracked mask down the
     // scan path. Index buckets enumerate slots ascending, exactly the
     // scan's order, so the choice never changes the fixpoint.
-    const bool wide_match =
-        s.kind == Step::Kind::kScan && rel != nullptr && s.probe_mask != 0 &&
+    s.scan_all =
+        rel != nullptr &&
         rel->EstimateSourceFor(s.probe_mask) != EstimateSource::kSize &&
         rel->EstimateMatches(s.probe_mask) * 4 >=
             static_cast<double>(rel->size());
-    if (s.probe_mask == 0 || wide_match) {
-      s.probe = Step::Probe::kScanAll;
-    } else if ((s.probe_mask & skm) == skm) {
-      s.probe = Step::Probe::kShardProbe;
-    } else {
-      s.probe = Step::Probe::kFanout;
-    }
   }
   for (const Step& s : base) {
     if (s.pred == datalog::kInvalidPred) continue;
@@ -471,7 +457,7 @@ std::string ExecPlanner::Explain(const CompiledRule& rule, int occ,
     if (s.kind == Step::Kind::kScan || s.kind == Step::Kind::kNegCheck) {
       char buf[32];
       std::snprintf(buf, sizeof buf, " probe=%s mask=0x%x",
-                    ProbeName(s.probe), s.probe_mask);
+                    ProbeName(s), s.probe_mask);
       out += buf;
     }
     if (i < plan.source_index.size()) {

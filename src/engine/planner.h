@@ -3,13 +3,13 @@
 // The planner sits between the RuleCompiler and the Executor: per compiled
 // rule it builds one VariantPlan per semi-naïve occurrence variant (plus one
 // for the full body, used by aggregate recomputes), reordering the baseline
-// steps greedily by estimated bound-cardinality and fixing each probe's
-// strategy (single-shard probe / indexed fan-out / full scan) statically
-// instead of per call. It is the only way the fixpoint orders a rule body:
-// the compiler's written-order steps are its input (and what constraint
-// bodies execute), never a runtime alternative. Plans are cached on the
-// rule's RulePlanCache and rebuilt when body-relation sizes drift past a
-// threshold, so long fixpoints replan as relations grow.
+// steps greedily by estimated bound-cardinality and choosing, for each scan
+// with bound columns, an index probe or a linear pass (Step::scan_all). It
+// is the only way the fixpoint orders a rule body: the compiler's
+// written-order steps are its input (and what constraint bodies execute),
+// never a runtime alternative. Plans are cached on the rule's RulePlanCache
+// and rebuilt when body-relation sizes drift past a threshold, so long
+// fixpoints replan as relations grow.
 //
 // Cost model. Statistics come from Relation's online counters: total rows
 // plus distinct-key estimates per probe mask (Relation::EstimateMatches),
@@ -23,13 +23,12 @@
 // position — so a plan enumerates exactly the bindings of the baseline
 // order (pinned by PlannerTest.PlansEnumerateWrittenOrderBindings).
 //
-// Determinism. Plans are built and cached only from the fixpoint's
-// single-threaded merge phase, and every input to a planning decision —
-// relation sizes, content-hashed distinct counts, the shard-key mask — is
-// independent of SB_THREADS and SB_SHARDS. Identical transaction streams
-// therefore produce identical plans (and identical replan points) at every
-// thread × shard combination, preserving the engine's byte-identical
-// fixpoint contract.
+// Determinism. Plans are built and cached only on the fixpoint's
+// coordinating thread, and every input to a planning decision — relation
+// sizes and content-hashed distinct counts — is independent of SB_THREADS
+// and SB_SHARDS. Identical transaction streams therefore produce identical
+// plans (and identical replan points) at every thread × shard combination,
+// preserving the engine's byte-identical fixpoint contract.
 #ifndef SECUREBLOX_ENGINE_PLANNER_H_
 #define SECUREBLOX_ENGINE_PLANNER_H_
 
@@ -61,8 +60,8 @@ class ExecPlanner {
   /// Internal error (a planner bug) that fails the transaction. The
   /// returned pointer stays valid for the relation-frozen window the
   /// caller executes in: plans mutate only through this method, only on
-  /// the merge phase, and the cache vector is sized once. Must be called
-  /// single-threaded (it reads and seeds relation statistics).
+  /// the coordinating thread, and the cache vector is sized once. Must be
+  /// called single-threaded (it reads and seeds relation statistics).
   Result<const VariantPlan*> PlanFor(const CompiledRule& rule, int occ);
 
   /// Plans built or rebuilt through this planner (EngineStats feed).

@@ -194,11 +194,6 @@ class Relation {
 
   // -- online statistics (cost-based planning) -------------------------------
 
-  /// Columns that route a tuple to its shard (bit i = column i). Static per
-  /// declaration, so planner probe-strategy choices are identical at every
-  /// shard count.
-  uint32_t shard_key_mask() const { return shard_key_mask_; }
-
   /// Start tracking distinct-key statistics for `mask` (no-op when already
   /// tracked): seeds a counting map with one scan, after which Insert and
   /// Erase maintain it incrementally — and symmetrically, so heavy

@@ -633,9 +633,10 @@ Status Workspace::CheckConstraints(TxState* tx) {
         if (rel->Contains(t)) live.push_back(t);
       }
       if (live.empty()) continue;
-      DeltaOverride override{occ, &live};
+      std::vector<OccView> views(c.num_scan_occurrences);
+      views[occ].only = &live;
       Env env(c.num_slots);
-      SB_RETURN_IF_ERROR(executor.Run(c.lhs_steps, &env, &override,
+      SB_RETURN_IF_ERROR(executor.Run(c.lhs_steps, &env, &views,
                                       check_binding));
     }
   }

@@ -1,10 +1,11 @@
 // Cost-based rule execution planning: online relation statistics stay
 // symmetric under insert/erase churn, worst-ordered rule bodies are
-// reordered selective-first, every plan enumerates exactly the bindings of
-// the compiler's written order, the fixpoint is byte-identical at every
-// SB_SIMD x SB_THREADS x SB_SHARDS combination, the Executor's probe and
-// batch paths allocate nothing in steady state, and the SB_EXPLAIN dump
-// describes the chosen plan.
+// reordered selective-first, a wide bound column is read by a linear pass
+// and a selective one by an index, every plan enumerates exactly the
+// bindings of the compiler's written order, the fixpoint is byte-identical
+// at every SB_SIMD x SB_THREADS x SB_SHARDS combination, the Executor's
+// probe and batch paths allocate nothing in steady state, and the
+// SB_EXPLAIN dump describes the chosen plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -276,7 +277,7 @@ TEST(PlannerTest, WorstOrderedBodyReorderedSelectiveFirst) {
   }
   ASSERT_NE(big_step, nullptr);
   EXPECT_EQ(big_step->probe_mask, 0x1u) << "big should probe on bound X";
-  EXPECT_NE(big_step->probe, Step::Probe::kScanAll);
+  EXPECT_FALSE(big_step->scan_all);
 
   // Semi-naïve variants put their delta atom first regardless of cost.
   const VariantPlan* d0 = &PlanOf(&planner, *rule, 0);
@@ -295,6 +296,87 @@ TEST(PlannerTest, WorstOrderedBodyReorderedSelectiveFirst) {
   // The workspace's own driver may have populated the shared cache's
   // occurrence slots during Apply; the full-body slot is ours.
   EXPECT_GE(planner.plans_built(), 1u);
+}
+
+// The one probe decision the planner makes: a bound column whose
+// dictionary estimate keeps a quarter or more of the relation is read by
+// one linear pass (Step::scan_all), and the fixpoint warms that column's
+// sorted runs instead of an index; a selective column probes an index.
+TEST(PlannerTest, WideBoundColumnScansSelectiveColumnProbes) {
+  Workspace ws;
+  Install(&ws, R"(
+    wide(X, Y) -> int(X), int(Y).
+    narrow(X, Y) -> int(X), int(Y).
+    sel(X) -> int(X).
+    hitw(X) -> int(X).
+    hitw(X) <- sel(Y), wide(X, Y).
+    hitn(Y) -> int(Y).
+    hitn(Y) <- sel(X), narrow(X, Y).
+  )");
+  // wide: 40 rows over 2 values of Y (20 matches per probe, half the
+  // relation); narrow: 40 rows over 40 values of X (1 match per probe).
+  std::vector<FactUpdate> facts;
+  for (int i = 0; i < 40; ++i) {
+    facts.push_back({"wide", {Value::Int(i), Value::Int(i % 2)}});
+    facts.push_back({"narrow", {Value::Int(i), Value::Int(100 + i)}});
+  }
+  ASSERT_TRUE(ws.Apply(facts).ok());
+  // sel's delta leads both rules' sel-variants; the next step binds one
+  // column of wide / narrow.
+  auto commit = ws.Apply({{"sel", {Value::Int(1)}}});
+  ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+
+  const datalog::PredId wide_id = ws.catalog().Lookup("wide").value();
+  const datalog::PredId narrow_id = ws.catalog().Lookup("narrow").value();
+  const datalog::PredId sel_id = ws.catalog().Lookup("sel").value();
+  ExecPlanner planner(&ws.catalog(), &ws, &ws.fixpoint_options());
+  int checked = 0;
+  for (const CompiledRule& rule : ws.compiled_rules()) {
+    int sel_occ = -1;
+    for (int occ = 0; occ < rule.num_scan_occurrences; ++occ) {
+      if (rule.scan_preds[occ] == sel_id) sel_occ = occ;
+    }
+    ASSERT_GE(sel_occ, 0);
+    const VariantPlan& plan = PlanOf(&planner, rule, sel_occ);
+    ASSERT_EQ(plan.steps.size(), 2u);
+    const Step& probe = plan.steps[1];
+    const std::string dump = planner.Explain(rule, sel_occ, plan);
+    if (probe.pred == wide_id) {
+      EXPECT_EQ(probe.probe_mask, 0x2u);
+      EXPECT_TRUE(probe.scan_all) << dump;
+      EXPECT_NE(dump.find("probe=scan-all mask=0x2"), std::string::npos)
+          << dump;
+    } else {
+      ASSERT_EQ(probe.pred, narrow_id);
+      EXPECT_EQ(probe.probe_mask, 0x1u);
+      EXPECT_FALSE(probe.scan_all) << dump;
+      EXPECT_NE(dump.find("probe=index mask=0x1"), std::string::npos)
+          << dump;
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2);
+  // Both rules fired, and the two reads agree with the data.
+  EXPECT_EQ(ws.GetRelationIfExists(ws.catalog().Lookup("hitw").value())
+                ->size(),
+            20u);
+  EXPECT_EQ(ws.GetRelationIfExists(ws.catalog().Lookup("hitn").value())
+                ->size(),
+            1u);
+  // What the fixpoint warmed for those plans: wide's bound column has
+  // current sorted runs in every shard and no index was ever built on
+  // wide; narrow got its index and no sorted runs.
+  const Relation* wide = ws.GetRelationIfExists(wide_id);
+  const Relation* narrow = ws.GetRelationIfExists(narrow_id);
+  ASSERT_NE(wide, nullptr);
+  ASSERT_NE(narrow, nullptr);
+  for (size_t sh = 0; sh < wide->shard_count(); ++sh) {
+    EXPECT_NE(wide->SortedRunBoundsIfWarm(sh, 1), nullptr) << "shard " << sh;
+    EXPECT_EQ(narrow->SortedRunBoundsIfWarm(sh, 0), nullptr)
+        << "shard " << sh;
+  }
+  EXPECT_EQ(wide->index_builds(), 0u);
+  EXPECT_GE(narrow->index_builds(), 1u);
 }
 
 TEST(PlannerTest, PlansReplanWhenStatsDrift) {
@@ -379,7 +461,7 @@ std::vector<FactUpdate> RebindFacts() {
 /// enumeration of `steps` instantiates, rendered, as a multiset.
 std::multiset<std::string> HeadTuples(Workspace* ws, const CompiledRule& rule,
                                       const std::vector<Step>& steps,
-                                      const DeltaOverride* delta) {
+                                      const std::vector<OccView>* views) {
   EvalContext ctx{&ws->catalog()};
   Executor executor(&ctx, ws);
   std::multiset<std::string> out;
@@ -387,7 +469,7 @@ std::multiset<std::string> HeadTuples(Workspace* ws, const CompiledRule& rule,
     return p.kind == ArgPat::Kind::kConst ? p.constant : *e[p.slot];
   };
   Env env(rule.num_slots);
-  Status st = executor.Run(steps, &env, delta, [&](Env& e) -> Status {
+  Status st = executor.Run(steps, &env, views, [&](Env& e) -> Status {
     if (rule.agg.has_value()) {
       Tuple t;
       for (const ArgPat& p : rule.agg->key_args) t.push_back(arg(p, e));
@@ -444,12 +526,13 @@ TEST(PlannerTest, PlansEnumerateWrittenOrderBindings) {
       std::sort(rows.begin(), rows.end());
       std::vector<Tuple> slice;
       for (size_t i = 0; i < rows.size(); i += 2) slice.push_back(rows[i]);
-      DeltaOverride delta{occ, &slice, nullptr};
+      std::vector<OccView> views(rule.num_scan_occurrences);
+      views[occ].only = &slice;
       const VariantPlan& plan = PlanOf(&planner, rule, occ);
       note(rule, plan);
-      const auto written = HeadTuples(&ws, rule, rule.steps, &delta);
+      const auto written = HeadTuples(&ws, rule, rule.steps, &views);
       EXPECT_FALSE(written.empty()) << name << " occ " << occ;
-      EXPECT_EQ(HeadTuples(&ws, rule, plan.steps, &delta), written)
+      EXPECT_EQ(HeadTuples(&ws, rule, plan.steps, &views), written)
           << "variant " << occ << " of " << name;
     }
   }
