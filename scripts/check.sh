@@ -71,9 +71,11 @@ SB_QUICK=1 SB_BENCH_OUT="$build/BENCH_placement.json" "$build/abl_placement"
 } > "$build/BENCH_dist.json"
 echo "wrote $build/BENCH_dist.json"
 # Placement determinism smoke: the partitioned-placement suite at the
-# prime storage shard count (routing, handoff, invariance matrix).
+# prime storage shard count (routing, handoff, invariance matrix), plus
+# batching_test, whose handoff comparison reads every row's support and
+# base flag.
 SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
-    -R 'placement_test|dist_test'
+    -R 'placement_test|dist_test|batching_test'
 
 # Column storage: the wide string-heavy filter join with churn, recorded
 # as BENCH_column.json (seconds plus dict/column/index bytes; no gate).

@@ -39,9 +39,9 @@
 // aggregates recompute on stratum entry — their classical recompute points.
 //
 // Deletions propagate incrementally. Every derived tuple carries a
-// derivation-support count (Relation::SupportCount) that insert rounds
-// keep exact via mixed semi-naïve variants. Delete deltas and negation
-// flips are processed per group:
+// derivation-support count (the support half of its RowState word, see
+// relation.h) that insert rounds keep exact via mixed semi-naïve
+// variants. Delete deltas and negation flips are processed per group:
 //   - non-recursive groups (single rules) maintain their supports by
 //     counting, in one round per group. Negation flips: each negated
 //     literal's queued adds and dels are projected onto its non-wildcard
@@ -69,7 +69,7 @@
 // interface — only ever from the coordinating thread: the merge phase,
 // plus BindExistentials while side-effect rules enumerate before the pool
 // starts — so the workspace keeps single-threaded ownership of undo
-// logging, entity interning, and base-fact bookkeeping.
+// logging, entity interning, and row-state updates.
 #ifndef SECUREBLOX_ENGINE_FIXPOINT_H_
 #define SECUREBLOX_ENGINE_FIXPOINT_H_
 
@@ -182,16 +182,18 @@ class FixpointHost {
                                           const Tuple& tuple) = 0;
   /// Erase a tuple (stale aggregate results), with undo logging.
   virtual Status EraseTuple(datalog::PredId pred, const Tuple& tuple) = 0;
-  /// Drop one derivation support (counting deletion). Erases the tuple and
-  /// cascades a delete delta when support is exhausted and the tuple is
-  /// not a base fact. Returns true when the tuple was erased.
+  /// Drop one derivation support (counting deletion) from the row's
+  /// state. Erases the tuple and cascades a delete delta when the row is
+  /// left with no support and no base flag; otherwise the row stays.
+  /// Either way one undo entry records the row's previous state word.
+  /// Returns true when the tuple was erased.
   virtual Result<bool> RetractSupport(datalog::PredId pred,
                                       const Tuple& tuple) = 0;
-  /// Group-local DRed over-delete: erase every non-base tuple of `pred`
-  /// (cascading delete deltas) and zero the support of surviving base
-  /// facts, so rederivation recounts from scratch. Returns the number of
-  /// tuples erased — rederiving them is not runaway work and extends the
-  /// derivation budget.
+  /// Group-local DRed over-delete: erase every row of `pred` without a
+  /// base flag (cascading delete deltas) and zero the support of rows
+  /// that have one, so rederivation recounts from scratch. Returns the
+  /// number of tuples erased — rederiving them is not runaway work and
+  /// extends the derivation budget.
   virtual Result<uint64_t> OverDeleteDerived(datalog::PredId pred) = 0;
   /// Bind a rule's head-existential slots in `env` (memoized entity
   /// creation); appends the slots bound to `bound_here`.

@@ -114,8 +114,9 @@ void Relation::EncodeLookup(const Tuple& t, CodeKey* out) const {
   }
 }
 
-InsertOutcome Relation::Insert(const Tuple& t) {
-  Shard& s = shards_[ShardOf(t)];
+InsertOutcome Relation::Insert(const Tuple& t, RowRef* row) {
+  const size_t shard = ShardOf(t);
+  Shard& s = shards_[shard];
   // Phase A — lookup-only encode. Duplicate and FD checks run on codes; a
   // kNoCode anywhere means the full tuple cannot already be present, and a
   // kNoCode in a key column means no FD conflict is possible. No
@@ -124,7 +125,13 @@ InsertOutcome Relation::Insert(const Tuple& t) {
   thread_local CodeKey ck;  // mutations are single-threaded; reused buffer
   EncodeLookup(t, &ck);
   const bool all_known = std::find(ck.begin(), ck.end(), kNoCode) == ck.end();
-  if (all_known && s.cindex_.count(ck)) return InsertOutcome::kDuplicate;
+  if (all_known) {
+    auto it = s.cindex_.find(ck);
+    if (it != s.cindex_.end()) {
+      if (row != nullptr) *row = {shard, it->second};
+      return InsertOutcome::kDuplicate;
+    }
+  }
   if (decl_->functional) {
     const bool keys_known =
         std::find(ck.begin(), ck.end() - 1, kNoCode) == ck.end() - 1;
@@ -134,7 +141,7 @@ InsertOutcome Relation::Insert(const Tuple& t) {
   }
   // Phase B — commit: allocate codes for novel values, take a live
   // reference on every column, append the row to the column segments.
-  const size_t slot = s.counts.size();
+  const size_t slot = s.states.size();
   for (size_t i = 0; i < t.size(); ++i) {
     ColumnDict& d = dicts_[i];
     uint32_t code = ck[i];
@@ -150,7 +157,7 @@ InsertOutcome Relation::Insert(const Tuple& t) {
     s.cols[i].push_back(code);
     ck[i] = code;
   }
-  s.counts.push_back(0);
+  s.states.push_back({});
   s.cindex_[ck] = slot;
   if (decl_->functional) {
     s.cfd_index_[CodeKey(ck.begin(), ck.end() - 1)] = slot;
@@ -158,11 +165,12 @@ InsertOutcome Relation::Insert(const Tuple& t) {
   if (!key_stats_.empty()) StatsInsert(t);
   ++total_size_;
   ++version_;
+  if (row != nullptr) *row = {shard, slot};
   return InsertOutcome::kInserted;
 }
 
 void Relation::EraseSlot(Shard& s, size_t slot, const CodeKey& ck) {
-  const size_t last = s.counts.size() - 1;
+  const size_t last = s.states.size() - 1;
   // Drop the erased row from built secondary buckets before the swap
   // clobbers row `slot`, preserving bucket order so enumeration order does
   // not depend on erase history beyond the erase itself.
@@ -188,7 +196,7 @@ void Relation::EraseSlot(Shard& s, size_t slot, const CodeKey& ck) {
   // slots. The moved row belongs to the same shard by construction.
   if (slot != last) {
     for (auto& col : s.cols) col[slot] = col[last];
-    s.counts[slot] = s.counts[last];
+    s.states[slot] = s.states[last];
     CodeKey moved;
     moved.reserve(s.cols.size());
     for (const auto& col : s.cols) moved.push_back(col[slot]);
@@ -198,7 +206,7 @@ void Relation::EraseSlot(Shard& s, size_t slot, const CodeKey& ck) {
     }
   }
   for (auto& col : s.cols) col.pop_back();
-  s.counts.pop_back();
+  s.states.pop_back();
   // Re-point the moved row (old index `last`, now at `slot`) in each built
   // secondary index; an unindexed tail row moving into the indexed prefix
   // is indexed now so the prefix invariant holds.
@@ -225,75 +233,52 @@ void Relation::EraseSlot(Shard& s, size_t slot, const CodeKey& ck) {
         rows.insert(std::lower_bound(rows.begin(), rows.end(), slot), slot);
       }
     }
-    idx.rows_indexed = std::min(idx.rows_indexed, s.counts.size());
+    idx.rows_indexed = std::min(idx.rows_indexed, s.states.size());
   }
 }
 
 bool Relation::Erase(const Tuple& t) {
-  Shard& s = shards_[ShardOf(t)];
-  thread_local CodeKey ck;
-  EncodeLookup(t, &ck);
-  if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return false;
-  auto it = s.cindex_.find(ck);
-  if (it == s.cindex_.end()) return false;
-  const size_t slot = it->second;
-  // The symmetric counterpart of the StatsInsert in Insert().
-  if (!key_stats_.empty()) StatsErase(t);
-  EraseSlot(s, slot, ck);
-  --total_size_;
-  ++version_;
+  const std::optional<RowRef> row = Find(t);
+  if (!row) return false;
+  EraseAt(*row);
   return true;
 }
 
-uint32_t Relation::SupportCount(const Tuple& t) const {
-  const Shard& s = shards_[ShardOf(t)];
+void Relation::EraseAt(RowRef row) {
+  Shard& s = shards_[row.shard];
   thread_local CodeKey ck;
-  EncodeLookup(t, &ck);
-  if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return 0;
-  auto it = s.cindex_.find(ck);
-  return it == s.cindex_.end() ? 0 : s.counts[it->second];
+  ck.clear();
+  for (const auto& col : s.cols) ck.push_back(col[row.slot]);
+  // The symmetric counterpart of the StatsInsert in Insert().
+  if (!key_stats_.empty()) StatsErase(row.shard, row.slot);
+  EraseSlot(s, row.slot, ck);
+  --total_size_;
+  ++version_;
 }
 
-uint32_t Relation::AddSupport(const Tuple& t) {
-  Shard& s = shards_[ShardOf(t)];
+std::optional<RowRef> Relation::Find(const Tuple& t) const {
+  const size_t shard = ShardOf(t);
+  const Shard& s = shards_[shard];
   thread_local CodeKey ck;
   EncodeLookup(t, &ck);
-  if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return 0;
-  auto it = s.cindex_.find(ck);
-  if (it == s.cindex_.end()) return 0;
-  return ++s.counts[it->second];
-}
-
-void Relation::SetSupport(const Tuple& t, uint32_t count) {
-  Shard& s = shards_[ShardOf(t)];
-  thread_local CodeKey ck;
-  EncodeLookup(t, &ck);
-  if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return;
-  auto it = s.cindex_.find(ck);
-  if (it != s.cindex_.end()) s.counts[it->second] = count;
-}
-
-std::optional<Tuple> Relation::ReplaceFunctional(const Tuple& t) {
-  Tuple keys(t.begin(), t.end() - 1);
-  // The FD keys are the shard key, so the displaced tuple (same keys)
-  // lives in the same shard the replacement inserts into.
-  Tuple scratch;
-  std::optional<Tuple> displaced;
-  if (LookupByKeys(keys, &scratch) != nullptr) {
-    if (scratch == t) return std::nullopt;  // no change
-    displaced = std::move(scratch);
-    Erase(*displaced);
+  if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) {
+    return std::nullopt;
   }
-  Insert(t);
-  return displaced;
+  auto it = s.cindex_.find(ck);
+  if (it == s.cindex_.end()) return std::nullopt;
+  return RowRef{shard, it->second};
 }
 
-bool Relation::Contains(const Tuple& t) const {
-  const Shard& s = shards_[ShardOf(t)];
-  thread_local CodeKey ck;
-  EncodeLookup(t, &ck);
-  if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return false;
-  return s.cindex_.count(ck) > 0;
+bool Relation::Contains(const Tuple& t) const { return Find(t).has_value(); }
+
+Status Relation::AddSupport(RowRef row) {
+  RowState& st = shards_[row.shard].states[row.slot];
+  if (st.support == RowState::kMaxSupport) {
+    return Status::Internal("derivation support overflow in '" +
+                            decl_->name + "'");
+  }
+  ++st.support;
+  return Status::OK();
 }
 
 const Tuple* Relation::LookupByKeys(const Tuple& keys, Tuple* scratch) const {
@@ -330,7 +315,7 @@ std::vector<Tuple> Relation::AllTuples() const {
   std::vector<Tuple> out;
   out.reserve(total_size_);
   for (size_t sh = 0; sh < shards_.size(); ++sh) {
-    const size_t rows = shards_[sh].counts.size();
+    const size_t rows = shards_[sh].states.size();
     for (size_t r = 0; r < rows; ++r) out.push_back(MaterializeTuple(sh, r));
   }
   return out;
@@ -399,7 +384,7 @@ Relation::CodeKey Relation::ProjectCodes(const Shard& s, size_t slot,
 void Relation::EnsureShardIndex(Shard& shard, uint32_t mask) {
   SecondaryIndex& idx = shard.secondary_[mask];
   if (idx.built_at_version == version_) return;
-  const size_t rows = shard.counts.size();
+  const size_t rows = shard.states.size();
   // Erases are patched in place, so only the appended tail is missing.
   if (idx.rows_indexed == 0 && rows != 0) {
     ++index_builds_;
@@ -450,9 +435,19 @@ void Relation::StatsInsert(const Tuple& t) {
   }
 }
 
-void Relation::StatsErase(const Tuple& t) {
+size_t Relation::RowKeyHash(size_t shard, size_t slot, uint32_t mask) const {
+  size_t h = 0x811C9DC5;
+  for (size_t i = 0; i < dicts_.size() && i < 32; ++i) {
+    if (mask & (1u << i)) {
+      h ^= At(shard, slot, i).Hash() + 0x9E3779B9 + (h << 6) + (h >> 2);
+    }
+  }
+  return h;
+}
+
+void Relation::StatsErase(size_t shard, size_t slot) {
   for (auto& [mask, stat] : key_stats_) {
-    auto it = stat.counts.find(HashValues(t, mask));
+    auto it = stat.counts.find(RowKeyHash(shard, slot, mask));
     if (it == stat.counts.end()) continue;  // collision-safety: never go negative
     if (--it->second == 0) stat.counts.erase(it);
   }
@@ -466,19 +461,10 @@ void Relation::EnsureKeyStat(uint32_t mask) {
   KeyStat& stat = key_stats_[mask];
   stat.counts.reserve(total_size_);
   // Seed by hashing the decoded column values with the same mixing
-  // StatsInsert/StatsErase apply to value tuples.
+  // StatsInsert applies to value tuples.
   for (size_t sh = 0; sh < shards_.size(); ++sh) {
-    const Shard& s = shards_[sh];
-    const size_t rows = s.counts.size();
-    for (size_t r = 0; r < rows; ++r) {
-      size_t h = 0x811C9DC5;
-      for (size_t i = 0; i < s.cols.size() && i < 32; ++i) {
-        if (mask & (1u << i)) {
-          h ^= At(sh, r, i).Hash() + 0x9E3779B9 + (h << 6) + (h >> 2);
-        }
-      }
-      ++stat.counts[h];
-    }
+    const size_t rows = shards_[sh].states.size();
+    for (size_t r = 0; r < rows; ++r) ++stat.counts[RowKeyHash(sh, r, mask)];
   }
 }
 
@@ -532,7 +518,7 @@ Relation::MemoryFootprint Relation::Memory() const {
     for (const auto& col : s.cols) {
       m.column_bytes += col.capacity() * sizeof(uint32_t);
     }
-    m.column_bytes += s.counts.capacity() * sizeof(uint32_t);
+    m.column_bytes += s.states.capacity() * sizeof(RowState);
     m.index_bytes += MapBytes(s.cindex_.bucket_count(), s.cindex_.size(),
                               sizeof(CodeKey) + arity * sizeof(uint32_t));
     m.index_bytes +=

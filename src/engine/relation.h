@@ -21,14 +21,18 @@
 // exactly one shard; unbound scans iterate shards in ascending order.
 // Shard count is fixed per relation at construction
 // (FixpointOptions::shards / SB_SHARDS); 1 shard reproduces the unsharded
-// layout exactly. Because set membership, support counts, and FD slots are
+// layout exactly. Because set membership, row states, and FD slots are
 // per-tuple properties, the logical content of a relation is independent
 // of the shard count — only storage order changes.
 //
-// Each row additionally carries a derivation-support count used by the
-// counting-based incremental deletion path: the number of rule
-// instantiations currently deriving the tuple. Base facts and aggregate
-// outputs keep a count of zero; their liveness is tracked elsewhere.
+// Each row additionally carries one 32-bit RowState word, the only record
+// of why the row is alive under counting-based incremental deletion: its
+// derivation support (the number of rule instantiations currently deriving
+// the tuple, 31 bits) and its base flag (the tuple is also asserted as a
+// base fact). The workspace erases a counted row once neither holds.
+// Aggregate outputs keep {0, 0}: their liveness is recompute-managed. The
+// word lives beside the row's column codes, so swap-remove, shard handoff
+// and rollback carry it with the row.
 //
 // Concurrency contract (parallel fixpoint): all mutations are
 // single-threaded. Concurrent ProbeShard() calls are safe only for masks
@@ -44,8 +48,8 @@
 // are pure reads on an up-to-date index — and across index builds for
 // *other* masks or *other* shards (bucket maps are node-based, so foreign
 // inserts never move this mask's vectors). Any mutation (Insert, Erase,
-// ReplaceFunctional) or an EnsureIndex that catches an index up
-// to a newer version may reallocate buckets and invalidates it. The
+// EraseAt) or an EnsureIndex that catches an index up to a newer version
+// may reallocate buckets and invalidates it. The
 // executor relies on exactly the safe window: a rule body holds probe
 // results across nested probes of the same enumeration, and the fixpoint
 // drivers never mutate relations while an enumeration runs (derived heads
@@ -72,6 +76,24 @@ enum class InsertOutcome {
   kFdConflict,   // functional dependency violated (same keys, other value)
 };
 
+/// Why a stored row is alive: its derivation support and whether it is
+/// also asserted as a base fact, packed into one 32-bit word per row.
+struct RowState {
+  static constexpr uint32_t kMaxSupport = (1u << 31) - 1;
+  uint32_t support : 31 = 0;
+  uint32_t base : 1 = 0;
+  bool operator==(const RowState&) const = default;
+};
+static_assert(sizeof(RowState) == sizeof(uint32_t));
+
+/// A stored row's position. Valid until the next Erase or EraseAt on its
+/// relation (swap-remove moves the shard's last row into the erased
+/// slot); inserts only append.
+struct RowRef {
+  size_t shard = 0;
+  size_t slot = 0;
+};
+
 /// Where a cardinality estimate for a bound-column mask comes from
 /// (SB_EXPLAIN surfaces this per plan step).
 enum class EstimateSource : uint8_t {
@@ -87,7 +109,7 @@ class Relation {
   /// comparisons, not an allocator audit).
   struct MemoryFootprint {
     size_t dict_bytes = 0;    // dictionaries: values, code maps, refcounts
-    size_t column_bytes = 0;  // code columns + support counts
+    size_t column_bytes = 0;  // code columns + row states
     size_t index_bytes = 0;   // full-tuple/FD indexes + secondary buckets
   };
 
@@ -97,20 +119,21 @@ class Relation {
 
   const datalog::PredicateDecl& decl() const { return *decl_; }
 
-  /// Insert with set semantics and FD checking.
-  InsertOutcome Insert(const Tuple& t);
+  /// Insert with set semantics and FD checking. A new row starts with
+  /// state {0, 0}. On kInserted and kDuplicate, `*row` (when given) is the
+  /// row holding `t`.
+  InsertOutcome Insert(const Tuple& t, RowRef* row = nullptr);
 
   /// Remove a tuple; returns true if it was present. Built secondary
   /// indexes are patched in place (swap-remove aware, shard-local), never
   /// invalidated.
   bool Erase(const Tuple& t);
-
-  /// For functional predicates: replace any existing tuple with the same
-  /// keys. Returns the displaced tuple if one existed.
-  /// (Used by lattice aggregates, which monotonically improve values.)
-  std::optional<Tuple> ReplaceFunctional(const Tuple& t);
+  /// Remove the row at `row`, like Erase without the lookup.
+  void EraseAt(RowRef row);
 
   bool Contains(const Tuple& t) const;
+  /// The row holding `t`, or nullopt when absent.
+  std::optional<RowRef> Find(const Tuple& t) const;
 
   /// Functional lookup: full tuple for `keys` (arity-1 values) or nullptr.
   /// The keys determine the shard, so this is a single-shard probe. The
@@ -128,7 +151,7 @@ class Relation {
   size_t ShardOf(const Tuple& t) const;
   /// Rows in one shard. Slots are in shard-local insertion order (stable
   /// except for swap-remove erasure); full scans iterate shards in order.
-  size_t shard_size(size_t shard) const { return shards_[shard].counts.size(); }
+  size_t shard_size(size_t shard) const { return shards_[shard].states.size(); }
   /// One column's value at (shard, slot): a reference into the column
   /// dictionary (stable: dictionaries are append-only).
   const datalog::Value& At(size_t shard, size_t slot, size_t col) const {
@@ -180,14 +203,17 @@ class Relation {
   const std::vector<uint32_t>* SortedRunBoundsIfWarm(size_t shard,
                                                      size_t col) const;
 
-  // -- derivation-support counts (counting-based deletion) -------------------
+  // -- row state (counting-based deletion) -----------------------------------
 
-  /// Current support of `t`; 0 when absent or purely base.
-  uint32_t SupportCount(const Tuple& t) const;
-  /// Add one derivation support. Returns the new count (0 if `t` absent).
-  uint32_t AddSupport(const Tuple& t);
-  /// Overwrite the support of `t` (rollback / over-delete bookkeeping).
-  void SetSupport(const Tuple& t, uint32_t count);
+  RowState state(RowRef row) const {
+    return shards_[row.shard].states[row.slot];
+  }
+  void set_state(RowRef row, RowState s) {
+    shards_[row.shard].states[row.slot] = s;
+  }
+  /// Add one derivation support to `row`. Fails, leaving the row as it
+  /// was, when the count would pass RowState::kMaxSupport.
+  Status AddSupport(RowRef row);
 
   /// Monotonically increasing change counter (secondary index freshness).
   uint64_t version() const { return version_; }
@@ -301,7 +327,7 @@ class Relation {
   /// slot values (indexes, secondary buckets) are shard-local.
   struct Shard {
     std::vector<std::vector<uint32_t>> cols;  // [column][slot] -> code
-    std::vector<uint32_t> counts;             // parallel to rows
+    std::vector<RowState> states;             // parallel to rows
     std::unordered_map<CodeKey, size_t, CodeKeyHash> cindex_;     // row -> slot
     std::unordered_map<CodeKey, size_t, CodeKeyHash> cfd_index_;  // keys -> slot
     std::unordered_map<uint32_t, SecondaryIndex> secondary_;
@@ -321,9 +347,12 @@ class Relation {
   /// Swap-remove erase of (shard, slot): patches built secondary buckets
   /// and repoints the moved row in every index.
   void EraseSlot(Shard& s, size_t slot, const CodeKey& ck);
-  /// Maintain every tracked KeyStat for an inserted / erased tuple.
+  /// Hash of the row at (shard, slot) projected onto `mask`: equal to
+  /// HashValues of its tuple, computed from the dictionaries.
+  size_t RowKeyHash(size_t shard, size_t slot, uint32_t mask) const;
+  /// Maintain every tracked KeyStat for an inserted / erased row.
   void StatsInsert(const Tuple& t);
-  void StatsErase(const Tuple& t);
+  void StatsErase(size_t shard, size_t slot);
 
   const datalog::PredicateDecl* decl_;
   /// Bit i set = column i participates in the shard key.

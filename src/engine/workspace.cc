@@ -217,19 +217,20 @@ Result<Tuple> Workspace::NormalizeTuple(PredId pred,
   return out;
 }
 
-Status Workspace::EnsureEntityMembership(const Value& v, TxState* tx) {
+Status Workspace::EnsureEntityMembership(const Value& v, bool seed,
+                                         TxState* tx) {
   if (!v.is_entity()) return Status::OK();
   std::vector<PredId> types = {v.entity_type()};
   for (PredId up : catalog_->SupertypesOf(v.entity_type())) types.push_back(up);
   for (PredId type : types) {
     Relation* rel = GetRelation(type);
     Tuple membership = {v};
-    if (rel->Contains(membership)) continue;
-    rel->Insert(membership);
-    tx->undo.push_back({UndoOp::Kind::kInserted, type, membership});
+    RowRef row;
+    if (rel->Insert(membership, &row) != InsertOutcome::kInserted) continue;
     // Membership facts are base: they persist across delete-and-rederive.
-    base_tuples_[type].insert(membership);
-    tx->undo.push_back({UndoOp::Kind::kBaseAdded, type, membership});
+    rel->set_state(row, {.base = 1});
+    tx->undo.push_back({UndoOp::Kind::kInserted, type, membership, {}});
+    if (!seed) continue;
     tx->inserted[type].push_back(membership);
     driver_->NotifyInsert(type, membership);
   }
@@ -239,7 +240,8 @@ Status Workspace::EnsureEntityMembership(const Value& v, TxState* tx) {
 Result<bool> Workspace::InsertTuple(PredId pred, const Tuple& tuple,
                                     bool is_base, bool counted, TxState* tx) {
   Relation* rel = GetRelation(pred);
-  InsertOutcome outcome = rel->Insert(tuple);
+  RowRef row;
+  InsertOutcome outcome = rel->Insert(tuple, &row);
   if (outcome == InsertOutcome::kFdConflict) {
     Tuple scratch;
     const Tuple* existing = rel->LookupByKeys(
@@ -250,52 +252,42 @@ Result<bool> Workspace::InsertTuple(PredId pred, const Tuple& tuple,
         (existing ? catalog_->ValueToString(existing->back()) : "?") +
         " but derived " + catalog_->ValueToString(tuple.back()));
   }
+  // Adding the support is the one step that can fail; it fails before
+  // the row changes.
+  const RowState before = rel->state(row);
+  if (counted) SB_RETURN_IF_ERROR(rel->AddSupport(row));
+  if (is_base) {
+    rel->set_state(row, {.support = rel->state(row).support, .base = 1});
+  }
   if (outcome == InsertOutcome::kDuplicate) {
-    if (is_base && !base_tuples_[pred].count(tuple)) {
-      base_tuples_[pred].insert(tuple);
-      tx->undo.push_back({UndoOp::Kind::kBaseAdded, pred, tuple, 0});
-    }
-    if (counted) {
-      rel->AddSupport(tuple);
-      tx->undo.push_back({UndoOp::Kind::kSupportAdded, pred, tuple, 0});
+    if (rel->state(row) != before) {
+      tx->undo.push_back({UndoOp::Kind::kState, pred, tuple, before});
     }
     return false;
   }
-  tx->undo.push_back({UndoOp::Kind::kInserted, pred, tuple, 0});
-  if (is_base) {
-    base_tuples_[pred].insert(tuple);
-    tx->undo.push_back({UndoOp::Kind::kBaseAdded, pred, tuple, 0});
-  } else {
-    ++tx->num_derived;
-    if (counted) {
-      rel->AddSupport(tuple);
-      tx->undo.push_back({UndoOp::Kind::kSupportAdded, pred, tuple, 0});
-    }
-  }
+  tx->undo.push_back({UndoOp::Kind::kInserted, pred, tuple, {}});
+  if (!is_base) ++tx->num_derived;
   tx->inserted[pred].push_back(tuple);
   driver_->NotifyInsert(pred, tuple);
   for (const Value& v : tuple) {
-    SB_RETURN_IF_ERROR(EnsureEntityMembership(v, tx));
+    SB_RETURN_IF_ERROR(EnsureEntityMembership(v, /*seed=*/true, tx));
   }
   return true;
 }
 
-Status Workspace::EraseTupleTx(PredId pred, const Tuple& tuple, TxState* tx) {
+Status Workspace::EraseRow(PredId pred, RowRef row, const Tuple& tuple,
+                           TxState* tx) {
   Relation* rel = GetRelation(pred);
   // `tuple` may alias an element of `tx->inserted[pred]` (a caller
   // retracting a tuple this transaction derived), and the removal from
   // that vector below shifts its elements; work on a copy so the undo log
   // and the delete delta read the erased tuple, not its successor.
   Tuple copy = tuple;
-  uint32_t support = rel->SupportCount(copy);
-  if (!rel->Erase(copy)) return Status::OK();
+  const RowState state = rel->state(row);
+  rel->EraseAt(row);
   ++tx->num_erased;
   const size_t undo_pos = tx->undo.size();
-  tx->undo.push_back({UndoOp::Kind::kErased, pred, copy, support});
-  auto base_it = base_tuples_.find(pred);
-  if (base_it != base_tuples_.end() && base_it->second.erase(copy)) {
-    tx->undo.push_back({UndoOp::Kind::kBaseRemoved, pred, copy, 0});
-  }
+  tx->undo.push_back({UndoOp::Kind::kErased, pred, copy, state});
   bool inserted_here = false;
   auto ins_it = tx->inserted.find(pred);
   if (ins_it != tx->inserted.end()) {
@@ -309,20 +301,21 @@ Status Workspace::EraseTupleTx(PredId pred, const Tuple& tuple, TxState* tx) {
   return Status::OK();
 }
 
-Status Workspace::EnsureEntityMembershipRaw(const Value& v, TxState* tx) {
-  if (!v.is_entity()) return Status::OK();
-  std::vector<PredId> types = {v.entity_type()};
-  for (PredId up : catalog_->SupertypesOf(v.entity_type())) types.push_back(up);
-  for (PredId type : types) {
-    Relation* rel = GetRelation(type);
-    Tuple membership = {v};
-    if (rel->Contains(membership)) continue;
-    rel->Insert(membership);
-    tx->undo.push_back({UndoOp::Kind::kInserted, type, membership, 0});
-    base_tuples_[type].insert(membership);
-    tx->undo.push_back({UndoOp::Kind::kBaseAdded, type, membership, 0});
+Result<bool> Workspace::LowerRowState(PredId pred, RowRef row,
+                                      const Tuple& tuple, RowState after,
+                                      TxState* tx) {
+  Relation* rel = GetRelation(pred);
+  if (after.support == 0 && !after.base) {
+    // Nothing keeps the row alive. Its kErased entry records the old
+    // word, so a rollback restores support and base flag together.
+    SB_RETURN_IF_ERROR(EraseRow(pred, row, tuple, tx));
+    return true;
   }
-  return Status::OK();
+  const RowState before = rel->state(row);
+  if (after == before) return false;
+  tx->undo.push_back({UndoOp::Kind::kState, pred, tuple, before});
+  rel->set_state(row, after);
+  return false;
 }
 
 // -- placement ----------------------------------------------------------------
@@ -378,24 +371,22 @@ Status Workspace::ApplyOneRemoteOp(const RemoteOp& op,
   Relation* rel = GetRelation(pred);
   switch (op.kind) {
     case RemoteDelta::Kind::kHandoff: {
-      // Shard snapshot row: raw install of storage + base mark + support
-      // count. No delta is seeded and no rule fires — the support count
-      // already includes every shard-local instantiation at the old
-      // owner; firing here would double-count. A replayed handoff finds
-      // the row present and is ignored.
-      if (rel->Contains(t)) return Status::OK();
-      rel->Insert(t);
-      tx->undo.push_back({UndoOp::Kind::kInserted, pred, t, 0});
-      if (op.is_base) {
-        base_tuples_[pred].insert(t);
-        tx->undo.push_back({UndoOp::Kind::kBaseAdded, pred, t, 0});
+      // Shard snapshot row: raw install of storage + row state. No delta
+      // is seeded and no rule fires — the support count already includes
+      // every shard-local instantiation at the old owner; firing here
+      // would double-count. A replayed handoff finds the row present and
+      // is ignored.
+      if (op.support > RowState::kMaxSupport) {
+        return Status::InvalidArgument("handoff support count too large");
       }
-      if (op.support > 0) {
-        tx->undo.push_back({UndoOp::Kind::kSupportCleared, pred, t, 0});
-        rel->SetSupport(t, op.support);
+      RowRef row;
+      if (rel->Insert(t, &row) != InsertOutcome::kInserted) {
+        return Status::OK();
       }
+      rel->set_state(row, {.support = op.support, .base = op.is_base});
+      tx->undo.push_back({UndoOp::Kind::kInserted, pred, t, {}});
       for (const Value& v : t) {
-        SB_RETURN_IF_ERROR(EnsureEntityMembershipRaw(v, tx));
+        SB_RETURN_IF_ERROR(EnsureEntityMembership(v, /*seed=*/false, tx));
       }
       return Status::OK();
     }
@@ -408,25 +399,27 @@ Status Workspace::ApplyOneRemoteOp(const RemoteOp& op,
       return r.ok() ? Status::OK() : r.status();
     }
     case RemoteDelta::Kind::kBaseDelete: {
-      if (!rel->Contains(t) || !base_tuples_[pred].count(t)) {
+      const std::optional<RowRef> row = rel->Find(t);
+      RowState st = row ? rel->state(*row) : RowState{};
+      if (!st.base) {
         // The matching insert is still in flight (deliveries are not
         // FIFO): park and retry on the next transaction.
         deferred->push_back(op);
         return Status::OK();
       }
-      base_tuples_[pred].erase(t);
-      tx->undo.push_back({UndoOp::Kind::kBaseRemoved, pred, t, 0});
-      if (rel->SupportCount(t) == 0) {
-        SB_RETURN_IF_ERROR(EraseTupleTx(pred, t, tx));
-      }
-      return Status::OK();
+      st.base = 0;
+      auto r = LowerRowState(pred, *row, t, st, tx);
+      return r.ok() ? Status::OK() : r.status();
     }
     case RemoteDelta::Kind::kSupportDrop: {
-      if (!rel->Contains(t) || rel->SupportCount(t) == 0) {
+      const std::optional<RowRef> row = rel->Find(t);
+      RowState st = row ? rel->state(*row) : RowState{};
+      if (st.support == 0) {
         deferred->push_back(op);
         return Status::OK();
       }
-      auto r = RetractSupport(pred, t);
+      --st.support;
+      auto r = LowerRowState(pred, *row, t, st, tx);
       return r.ok() ? Status::OK() : r.status();
     }
   }
@@ -443,30 +436,25 @@ Result<std::vector<RemoteDelta>> Workspace::DetachShard(PredId pred,
     return Status::InvalidArgument("DetachShard: shard " +
                                    std::to_string(shard) + " out of range");
   }
-  std::vector<Tuple> rows;
-  rows.reserve(rel->shard_size(shard));
-  for (size_t i = 0; i < rel->shard_size(shard); ++i) {
-    rows.push_back(rel->MaterializeTuple(shard, i));
-  }
-  auto& base = base_tuples_[pred];
   std::vector<RemoteDelta> out;
-  out.reserve(rows.size());
-  for (Tuple& t : rows) {
+  out.reserve(rel->shard_size(shard));
+  for (size_t i = 0; i < rel->shard_size(shard); ++i) {
+    const RowState st = rel->state({shard, i});
     RemoteDelta d;
     d.kind = RemoteDelta::Kind::kHandoff;
     d.pred = pred;
+    d.tuple = rel->MaterializeTuple(shard, i);
     d.shard = shard;
-    d.support = rel->SupportCount(t);
-    d.is_base = base.count(t) > 0;
-    d.tuple = std::move(t);
+    d.support = st.support;
+    d.is_base = st.base;
     out.push_back(std::move(d));
   }
   // Erase after snapshotting: co-shardability guarantees no rule at this
   // node can rederive into the departing shard between transactions, so a
-  // plain storage erase (no delete deltas, no cascades) is sound.
-  for (const RemoteDelta& d : out) {
-    base.erase(d.tuple);
-    rel->Erase(d.tuple);
+  // plain storage erase (no delete deltas, no cascades) is sound. Erasing
+  // from the tail moves no row.
+  while (rel->shard_size(shard) > 0) {
+    rel->EraseAt({shard, rel->shard_size(shard) - 1});
   }
   return out;
 }
@@ -496,7 +484,9 @@ Result<bool> Workspace::InsertDerivedTuple(PredId pred, const Tuple& tuple) {
 }
 
 Status Workspace::EraseTuple(PredId pred, const Tuple& tuple) {
-  return EraseTupleTx(pred, tuple, current_tx_);
+  const std::optional<RowRef> row = GetRelation(pred)->Find(tuple);
+  if (!row) return Status::OK();
+  return EraseRow(pred, *row, tuple, current_tx_);
 }
 
 Result<bool> Workspace::RetractSupport(PredId pred, const Tuple& tuple) {
@@ -508,43 +498,33 @@ Result<bool> Workspace::RetractSupport(PredId pred, const Tuple& tuple) {
     return false;
   }
   Relation* rel = GetRelation(pred);
-  uint32_t support = rel->SupportCount(tuple);
-  if (!rel->Contains(tuple) || support == 0) {
+  const std::optional<RowRef> row = rel->Find(tuple);
+  RowState st = row ? rel->state(*row) : RowState{};
+  if (st.support == 0) {
     return Status::Internal(
         "support underflow on '" + catalog_->decl(pred).name +
         "': retraction of an uncounted derivation of " +
         TupleToString(tuple, *catalog_));
   }
-  rel->SetSupport(tuple, support - 1);
-  current_tx_->undo.push_back(
-      {UndoOp::Kind::kSupportDropped, pred, tuple, 0});
-  if (support - 1 > 0) return false;  // alternative derivation remains
-  auto base_it = base_tuples_.find(pred);
-  if (base_it != base_tuples_.end() && base_it->second.count(tuple)) {
-    return false;  // still asserted as a base fact
-  }
-  SB_RETURN_IF_ERROR(EraseTupleTx(pred, tuple, current_tx_));
-  return true;
+  // The row stays while an alternative derivation remains or it is still
+  // asserted as a base fact.
+  --st.support;
+  return LowerRowState(pred, *row, tuple, st, current_tx_);
 }
 
 Result<uint64_t> Workspace::OverDeleteDerived(PredId pred) {
   Relation* rel = GetRelation(pred);
-  const auto& base = base_tuples_[pred];
   std::vector<Tuple> copy = rel->AllTuples();
   uint64_t erased = 0;
   for (const Tuple& t : copy) {
-    if (base.count(t)) {
-      // Base facts survive over-delete; rederivation recounts them.
-      uint32_t support = rel->SupportCount(t);
-      if (support > 0) {
-        current_tx_->undo.push_back(
-            {UndoOp::Kind::kSupportCleared, pred, t, support});
-        rel->SetSupport(t, 0);
-      }
-    } else {
-      SB_RETURN_IF_ERROR(EraseTupleTx(pred, t, current_tx_));
-      ++erased;
-    }
+    // Base facts survive over-delete with their support cleared;
+    // rederivation recounts them. Every other row is erased.
+    const RowRef row = *rel->Find(t);
+    RowState st = rel->state(row);
+    st.support = 0;
+    SB_ASSIGN_OR_RETURN(bool gone,
+                        LowerRowState(pred, row, t, st, current_tx_));
+    erased += gone;
   }
   return erased;
 }
@@ -653,7 +633,8 @@ void Workspace::Rollback(TxState* tx) {
         rel->Erase(it->tuple);
         break;
       case UndoOp::Kind::kErased: {
-        InsertOutcome outcome = rel->Insert(it->tuple);
+        RowRef row;
+        InsertOutcome outcome = rel->Insert(it->tuple, &row);
         if (outcome == InsertOutcome::kFdConflict) {
           // The key slot is still occupied — the undo log cannot express
           // this interleaving, which indicates a missing undo entry.
@@ -667,10 +648,10 @@ void Workspace::Rollback(TxState* tx) {
           const Tuple* occupant = rel->LookupByKeys(
               Tuple(it->tuple.begin(), it->tuple.end() - 1), &scratch);
           if (occupant != nullptr) rel->Erase(*occupant);
-          outcome = rel->Insert(it->tuple);
+          outcome = rel->Insert(it->tuple, &row);
         }
         if (outcome == InsertOutcome::kInserted) {
-          if (it->count > 0) rel->SetSupport(it->tuple, it->count);
+          rel->set_state(row, it->state);
         } else {
           SB_LOG_STREAM(Error) << "rollback: could not restore erased tuple "
                         << TupleToString(it->tuple, *catalog_) << " into '"
@@ -678,27 +659,15 @@ void Workspace::Rollback(TxState* tx) {
         }
         break;
       }
-      case UndoOp::Kind::kBaseAdded:
-        base_tuples_[it->pred].erase(it->tuple);
-        break;
-      case UndoOp::Kind::kBaseRemoved:
-        base_tuples_[it->pred].insert(it->tuple);
-        break;
-      case UndoOp::Kind::kSupportAdded: {
-        uint32_t support = rel->SupportCount(it->tuple);
-        if (support > 0) {
-          rel->SetSupport(it->tuple, support - 1);
+      case UndoOp::Kind::kState:
+        if (const std::optional<RowRef> row = rel->Find(it->tuple)) {
+          rel->set_state(*row, it->state);
         } else {
-          SB_LOG_STREAM(Error) << "rollback: support underflow undoing an insert "
-                        << "into '" << catalog_->decl(it->pred).name << "'";
+          SB_LOG_STREAM(Error) << "rollback: no row "
+                        << TupleToString(it->tuple, *catalog_) << " in '"
+                        << catalog_->decl(it->pred).name
+                        << "' to restore the state of";
         }
-        break;
-      }
-      case UndoOp::Kind::kSupportDropped:
-        rel->AddSupport(it->tuple);
-        break;
-      case UndoOp::Kind::kSupportCleared:
-        rel->SetSupport(it->tuple, it->count);
         break;
     }
   }
@@ -774,18 +743,16 @@ Result<TxCommit> Workspace::Apply(const std::vector<FactUpdate>& inserts,
       continue;
     }
     Relation* rel = GetRelation(pred.value());
-    if (!rel->Contains(*normalized)) continue;
-    if (!base_tuples_[pred.value()].count(*normalized)) {
+    const std::optional<RowRef> row = rel->Find(*normalized);
+    if (!row) continue;
+    RowState st = rel->state(*row);
+    if (!st.base) {
       return fail(Status::InvalidArgument(
           "cannot delete derived fact from '" + d.pred + "'"));
     }
-    base_tuples_[pred.value()].erase(*normalized);
-    tx.undo.push_back({UndoOp::Kind::kBaseRemoved, pred.value(), *normalized,
-                       0});
-    if (rel->SupportCount(*normalized) == 0) {
-      Status st = EraseTupleTx(pred.value(), *normalized, &tx);
-      if (!st.ok()) return fail(st);
-    }
+    st.base = 0;
+    auto lowered = LowerRowState(pred.value(), *row, *normalized, st, &tx);
+    if (!lowered.ok()) return fail(lowered.status());
   }
 
   for (const FactUpdate& ins : inserts) {

@@ -14,9 +14,10 @@
 // and exposes them to the driver through the FixpointHost interface.
 //
 // Deletions propagate incrementally (counting + group-local DRed): each
-// derived tuple carries a derivation-support count maintained by the
-// fixpoint driver, a base-fact delete seeds a delete delta, and only
-// tuples whose support reaches zero cascade. Flipped negation probes are
+// stored row carries its derivation-support count and base flag (the
+// Relation's RowState word; the fixpoint driver maintains the counts), a
+// base-fact delete seeds a delete delta, and only rows left with neither
+// support nor a base assertion cascade. Flipped negation probes are
 // counted the same way; recursive rule groups rederive group-locally
 // instead of reseeding the whole database (see engine/fixpoint.h).
 #ifndef SECUREBLOX_ENGINE_WORKSPACE_H_
@@ -26,8 +27,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -165,7 +164,7 @@ class Workspace : public RelationStore, private FixpointHost {
                          const std::vector<RemoteOp>& remote_ops = {});
 
   /// Extract and remove one shard of a placed relation for handoff to a
-  /// new owner: every stored row (base or derived) with its support count.
+  /// new owner: every stored row (base or derived) with its row state.
   /// Raw storage surgery — runs outside any transaction, fires no rules,
   /// and must only be called between transactions on shards this node owns
   /// under the outgoing map. Co-shardability makes the result closed: the
@@ -221,19 +220,15 @@ class Workspace : public RelationStore, private FixpointHost {
  private:
   struct UndoOp {
     enum class Kind {
-      kInserted,
-      kErased,
-      kBaseAdded,
-      kBaseRemoved,
-      kSupportAdded,    // undo: drop one derivation support
-      kSupportDropped,  // undo: add one derivation support
-      kSupportCleared,  // undo: restore `count` (over-delete of base facts)
+      kInserted,  // undo: erase the row
+      kErased,    // undo: re-insert the row with `state`
+      kState,     // undo: restore the row's previous `state`
     };
     Kind kind;
     datalog::PredId pred;
     Tuple tuple;
-    /// kErased / kSupportCleared: the support count to restore.
-    uint32_t count = 0;
+    /// kErased / kState: the row state to restore.
+    RowState state;
   };
 
   struct TxState {
@@ -256,15 +251,26 @@ class Workspace : public RelationStore, private FixpointHost {
   Status Recompile();
 
   // Insert a normalized tuple; logs undo, routes deltas to the fixpoint
-  // driver, auto-inserts entity type membership. `counted` adds one
-  // derivation support (rule heads). Returns true if newly inserted.
+  // driver, auto-inserts entity type membership. `is_base` sets the row's
+  // base flag, `counted` adds one derivation support (rule heads). Returns
+  // true if newly inserted.
   Result<bool> InsertTuple(datalog::PredId pred, const Tuple& tuple,
                            bool is_base, bool counted, TxState* tx);
-  Status EraseTupleTx(datalog::PredId pred, const Tuple& tuple, TxState* tx);
-  Status EnsureEntityMembership(const datalog::Value& v, TxState* tx);
-  // Handoff variant: installs membership rows without seeding deltas (the
-  // snapshot's supports already include every shard-local derivation).
-  Status EnsureEntityMembershipRaw(const datalog::Value& v, TxState* tx);
+  // Erase the row at `row` (holding `tuple`), logging its state for
+  // rollback and seeding a delete delta.
+  Status EraseRow(datalog::PredId pred, RowRef row, const Tuple& tuple,
+                  TxState* tx);
+  // Lower the state of the row at `row` to `after`, logging the old word.
+  // A row whose `after` holds neither support nor a base assertion is
+  // erased instead. Returns true when erased.
+  Result<bool> LowerRowState(datalog::PredId pred, RowRef row,
+                             const Tuple& tuple, RowState after, TxState* tx);
+  // Insert `v`'s entity type memberships as base rows. `seed` also lists
+  // new rows in the commit and seeds their deltas; handoff installs pass
+  // false (the snapshot's supports already include every shard-local
+  // derivation).
+  Status EnsureEntityMembership(const datalog::Value& v, bool seed,
+                                TxState* tx);
 
   // FixpointHost (the driver's mutation interface; current_tx_ is the
   // transaction being applied).
@@ -300,9 +306,6 @@ class Workspace : public RelationStore, private FixpointHost {
   EvalContext ctx_;
 
   std::vector<std::unique_ptr<Relation>> relations_;  // by PredId
-  std::unordered_map<datalog::PredId,
-                     std::unordered_set<Tuple, TupleHash>>
-      base_tuples_;
 
   // Installed program (sources kept for recompilation on later installs).
   std::vector<datalog::Rule> installed_rules_;

@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include "engine/relation.h"
+
 namespace secureblox::net {
 
 using datalog::Value;
@@ -206,7 +208,8 @@ Result<WireBatch> DecodeBatch(const Bytes& payload,
       entry.tuples.push_back(std::move(t));
       if (handoff) {
         SB_ASSIGN_OR_RETURN(uint64_t support, r.GetVarint());
-        if (support > 0xFFFFFFFFull) {
+        // The receiving row keeps 31 bits of support beside its base flag.
+        if (support > engine::RowState::kMaxSupport) {
           return Status::InvalidArgument("handoff support count too large");
         }
         SB_ASSIGN_OR_RETURN(uint8_t base, r.GetU8());

@@ -79,7 +79,8 @@ struct WireBatch {
     std::string pred;
     WireEntryKind kind = WireEntryKind::kFacts;
     std::vector<engine::Tuple> tuples;
-    /// kHandoff only, parallel to `tuples`: derivation-support counts and
+    /// kHandoff only, parallel to `tuples`: derivation-support counts
+    /// (DecodeBatch rejects one above engine::RowState::kMaxSupport) and
     /// base-fact flags travelling with the snapshot rows.
     std::vector<uint32_t> supports;
     std::vector<uint8_t> base_flags;

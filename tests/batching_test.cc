@@ -56,7 +56,7 @@ struct RawAtom {
   /// ("pathvar:") with the raw label kept in anon_label.
   std::vector<std::string> vals;
   std::vector<std::string> anon_label;  // "" when vals[i] is literal
-  uint32_t support = 0;
+  engine::RowState state;
 };
 
 std::string RenderAtom(const RawAtom& a,
@@ -76,7 +76,8 @@ std::string RenderAtom(const RawAtom& a,
       }
     }
   }
-  out += ")x" + std::to_string(a.support);
+  out += ")x" + std::to_string(a.state.support);
+  if (a.state.base) out += "+base";
   return out;
 }
 
@@ -92,7 +93,7 @@ std::string CanonicalDump(const engine::Workspace& ws) {
     for (const auto& t : rel->AllTuples()) {
       RawAtom a;
       a.pred = pred_name;
-      a.support = rel->SupportCount(t);
+      a.state = rel->state(*rel->Find(t));
       for (const auto& v : t) {
         if (v.is_entity()) {
           std::string label = catalog.EntityLabel(v).value();

@@ -2,9 +2,10 @@
 // alternative derivations alive, negation flips are counted too, recursive
 // groups fall back to group-local DRed, aggregate outputs retract with
 // their inputs, and failed deletes roll back exactly — including
-// functional key slots. A differential test checks every relation and
-// support count of random programs with negation against a workspace
-// rebuilt from the surviving base facts.
+// functional key slots and every row's support count and base flag. A
+// differential test checks every relation, support count and base flag of
+// random programs with negation against a workspace rebuilt from the
+// surviving base facts.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -419,8 +420,9 @@ TEST(CountingDeleteTest, GroupLocalDRedDoesNotReseedUnrelatedPredicates) {
 
 // -- negation flips on the counting path -----------------------------------
 
-/// Row (rendered) -> derivation-support count, per predicate.
-using SupportMap = std::map<std::string, std::map<std::string, uint32_t>>;
+/// Row (rendered) -> its derivation-support count, suffixed "+base" when
+/// the row is also asserted as a base fact, per predicate.
+using SupportMap = std::map<std::string, std::map<std::string, std::string>>;
 
 SupportMap Supports(Workspace& ws, const std::vector<std::string>& preds) {
   SupportMap out;
@@ -431,7 +433,9 @@ SupportMap Supports(Workspace& ws, const std::vector<std::string>& preds) {
     Relation* rel = ws.GetRelation(id.value());
     auto& rows = out[name];
     for (const Tuple& t : rel->AllTuples()) {
-      rows[TupleToString(t, ws.catalog())] = rel->SupportCount(t);
+      const RowState st = rel->state(*rel->Find(t));
+      rows[TupleToString(t, ws.catalog())] =
+          std::to_string(st.support) + (st.base ? "+base" : "");
     }
   }
   return out;
@@ -441,7 +445,102 @@ uint32_t SupportOf(Workspace& ws, const std::string& pred,
                    std::vector<Value> values) {
   auto id = ws.catalog().Lookup(pred);
   EXPECT_TRUE(id.ok()) << pred;
-  return id.ok() ? ws.GetRelation(id.value())->SupportCount(values) : 0;
+  if (!id.ok()) return 0;
+  const Relation* rel = ws.GetRelation(id.value());
+  const std::optional<RowRef> row = rel->Find(values);
+  return row ? rel->state(*row).support : 0;
+}
+
+TEST(CountingDeleteTest, RollbackRestoresEveryRowState) {
+  // One transaction moves every kind of row state — a base assertion on a
+  // derived row, a base delete under derived support, support adds and
+  // drops, a group-local DRed over-delete of a recursive group holding a
+  // base row — and then violates a constraint. Rollback must restore
+  // each row's support and base flag exactly.
+  Workspace ws;
+  Install(&ws, R"(
+    a(X) -> string(X).
+    b(X) -> string(X).
+    p(X) -> string(X).
+    p(X) <- a(X).
+    p(X) <- b(X).
+    link(X, Y) -> string(X), string(Y).
+    reach(X, Y) -> string(X), string(Y).
+    reach(X, Y) <- link(X, Y).
+    reach(X, Y) <- link(X, Z), reach(Z, Y).
+    ok(X) -> string(X).
+    trigger(X) -> string(X).
+    trigger(X) -> ok(X).
+  )");
+  auto s = [](const char* v) { return Value::Str(v); };
+  ASSERT_TRUE(ws.Apply({{"a", {s("x")}},
+                        {"a", {s("y")}},
+                        {"p", {s("y")}},
+                        {"a", {s("z")}},
+                        {"b", {s("z")}},
+                        {"link", {s("u"), s("v")}},
+                        {"link", {s("v"), s("w")}},
+                        {"reach", {s("u"), s("w")}}})
+                  .ok());
+  const std::vector<std::string> preds = {"a", "b", "p", "link", "reach"};
+  const SupportMap before = Supports(ws, preds);
+  EXPECT_EQ(before.at("p").at("(\"x\")"), "1");
+  EXPECT_EQ(before.at("p").at("(\"y\")"), "1+base");
+  EXPECT_EQ(before.at("p").at("(\"z\")"), "2");
+  EXPECT_EQ(before.at("reach").at("(\"u\", \"w\")"), "1+base");
+
+  const std::vector<FactUpdate> ins = {
+      {"p", {s("x")}},  // base assertion on a derived row
+      {"b", {s("x")}},  // one more support for p(x)
+      {"a", {s("q")}},  // a new derived row p(q)
+  };
+  const std::vector<FactUpdate> del = {
+      {"p", {s("y")}},            // base delete; p(y) keeps its support
+      {"a", {s("z")}},            // one support less for p(z)
+      {"link", {s("v"), s("w")}}, // over-deletes reach, base row included
+  };
+  std::vector<FactUpdate> ins_bad = ins;
+  ins_bad.push_back({"trigger", {s("t")}});  // no ok(t): violation
+  auto failed = ws.Apply(ins_bad, del);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kConstraintViolation);
+  EXPECT_EQ(Supports(ws, preds), before);
+
+  // The same transaction without the violation commits, so the one above
+  // really moved each of those rows before it rolled back.
+  auto commit = ws.Apply(ins, del);
+  ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+  EXPECT_GE(commit->fixpoint.group_rederives, 1u);
+  const SupportMap after = Supports(ws, preds);
+  EXPECT_EQ(after.at("p").at("(\"x\")"), "2+base");
+  EXPECT_EQ(after.at("p").at("(\"y\")"), "1");
+  EXPECT_EQ(after.at("p").at("(\"z\")"), "1");
+  EXPECT_EQ(after.at("p").at("(\"q\")"), "1");
+  EXPECT_EQ(after.at("reach").at("(\"u\", \"w\")"), "0+base");
+  EXPECT_EQ(after.at("reach").count("(\"v\", \"w\")"), 0u);
+}
+
+TEST(CountingDeleteTest, SupportOverflowFailsTheTransaction) {
+  // A handoff row arrives at the largest support its state word holds;
+  // one more derivation must abort the transaction, not wrap the count.
+  Workspace ws;
+  Install(&ws, "p(X) -> string(X).");
+  auto op = [](RemoteDelta::Kind kind, uint32_t support) {
+    return RemoteOp{kind, "p", {Value::Str("x")}, support, false};
+  };
+  EXPECT_FALSE(ws.Apply({}, {},
+                        {op(RemoteDelta::Kind::kHandoff,
+                            RowState::kMaxSupport + 1)})
+                   .ok());
+  ASSERT_TRUE(ws.Apply({}, {},
+                       {op(RemoteDelta::Kind::kHandoff,
+                           RowState::kMaxSupport)})
+                  .ok());
+  auto add = ws.Apply({}, {}, {op(RemoteDelta::Kind::kSupportAdd, 0)});
+  EXPECT_FALSE(add.ok());
+  EXPECT_EQ(SupportOf(ws, "p", {Value::Str("x")}), RowState::kMaxSupport);
+  EXPECT_EQ(Supports(ws, {"p"}).at("p").at("(\"x\")"),
+            std::to_string(RowState::kMaxSupport));
 }
 
 TEST(NegationCountingTest, WildcardDoubleFlipRetractsOnce) {

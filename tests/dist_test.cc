@@ -300,7 +300,8 @@ std::string SortedDump(const engine::Workspace& ws) {
         if (i) line += ",";
         line += catalog.ValueToString(t[i]);
       }
-      line += ")x" + std::to_string(rel->SupportCount(t));
+      const engine::RowState st = rel->state(*rel->Find(t));
+      line += ")x" + std::to_string(st.support) + (st.base ? "+base" : "");
       lines.push_back(std::move(line));
     }
   }

@@ -96,6 +96,29 @@ TEST(WireTest, DecodeRejectsCorruption) {
   EXPECT_FALSE(DecodeBatch(bad_version, &catalog).ok());
 }
 
+TEST(WireTest, HandoffSupportMustFitTheRowState) {
+  // A receiving row keeps 31 bits of support beside its base flag, so a
+  // handoff support count from a peer must stay below 2^31.
+  Catalog catalog;
+  auto encode = [&](uint32_t support) {
+    WireBatch batch;
+    WireBatch::Entry entry;
+    entry.pred = "p";
+    entry.kind = WireEntryKind::kHandoff;
+    entry.tuples = {{Value::Int(7)}};
+    entry.supports = {support};
+    entry.base_flags = {1};
+    batch.entries.push_back(std::move(entry));
+    return EncodeBatch(batch, catalog).value();
+  };
+  auto max = DecodeBatch(encode((1u << 31) - 1), &catalog);
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  ASSERT_EQ(max->entries.size(), 1u);
+  EXPECT_EQ(max->entries[0].supports, std::vector<uint32_t>{(1u << 31) - 1});
+  EXPECT_EQ(max->entries[0].base_flags, std::vector<uint8_t>{1});
+  EXPECT_FALSE(DecodeBatch(encode(1u << 31), &catalog).ok());
+}
+
 TEST(SimNetTest, DeliversInTimeOrder) {
   SimNet::Config cfg;
   cfg.jitter_frac = 0;  // deterministic latency

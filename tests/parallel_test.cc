@@ -47,7 +47,8 @@ Snapshot Snap(const Workspace& ws) {
     if (rel == nullptr || rel->empty()) continue;
     auto& rows = out[decl.name];
     for (const Tuple& t : rel->AllTuples()) {
-      rows.emplace(TupleToString(t, catalog), rel->SupportCount(t));
+      rows.emplace(TupleToString(t, catalog),
+                   rel->state(*rel->Find(t)).support);
     }
   }
   return out;

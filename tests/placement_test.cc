@@ -255,7 +255,8 @@ std::map<std::string, int> DumpPlaced(SimCluster& cluster) {
           if (i) line += ",";
           line += catalog.ValueToString(t[i]);
         }
-        line += ")x" + std::to_string(rel->SupportCount(t));
+        const engine::RowState st = rel->state(*rel->Find(t));
+        line += ")x" + std::to_string(st.support) + (st.base ? "+base" : "");
         ++out[line];
       }
     }

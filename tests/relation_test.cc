@@ -1,5 +1,5 @@
 // Relation storage: set semantics, functional dependencies, erasure,
-// replacement, secondary-index probing, and hash-partitioned shards
+// row states, secondary-index probing, and hash-partitioned shards
 // (logical content and point lookups are shard-count invariant).
 #include <gtest/gtest.h>
 
@@ -35,6 +35,20 @@ Tuple T(std::initializer_list<int64_t> vals) {
 const Tuple* Lookup(const Relation& r, const Tuple& keys) {
   static Tuple scratch;
   return r.LookupByKeys(keys, &scratch);
+}
+
+// The row state of `t`; {0, 0} when absent.
+RowState StateOf(const Relation& r, const Tuple& t) {
+  const std::optional<RowRef> row = r.Find(t);
+  return row ? r.state(*row) : RowState{};
+}
+
+// Add one support to `t`; returns the new count (0 when `t` is absent).
+uint32_t AddSupport(Relation& r, const Tuple& t) {
+  const std::optional<RowRef> row = r.Find(t);
+  if (!row) return 0;
+  EXPECT_TRUE(r.AddSupport(*row).ok());
+  return r.state(*row).support;
 }
 
 // Every row whose `mask` columns equal `key`, materialized, gathered over
@@ -93,21 +107,6 @@ TEST(RelationTest, EraseMaintainsIndexes) {
   EXPECT_EQ(r.Insert(T({4, 44})), InsertOutcome::kInserted);
 }
 
-TEST(RelationTest, ReplaceFunctional) {
-  PredicateDecl decl = MakeDecl(2, true);
-  Relation r(&decl);
-  r.Insert(T({1, 10}));
-  auto displaced = r.ReplaceFunctional(T({1, 5}));
-  ASSERT_TRUE(displaced.has_value());
-  EXPECT_EQ(displaced->back().AsInt(), 10);
-  EXPECT_EQ(Lookup(r, T({1}))->back().AsInt(), 5);
-  // Replacing with the same value is a no-op.
-  EXPECT_FALSE(r.ReplaceFunctional(T({1, 5})).has_value());
-  // Replacing a fresh key inserts.
-  EXPECT_FALSE(r.ReplaceFunctional(T({2, 7})).has_value());
-  EXPECT_EQ(r.size(), 2u);
-}
-
 TEST(RelationTest, SecondaryIndexProbe) {
   PredicateDecl decl = MakeDecl(3, false);
   Relation r(&decl);
@@ -164,35 +163,65 @@ TEST(RelationTest, ProbeStaysCorrectAcrossGrowthAndErasure) {
 TEST(RelationTest, SupportCountsTrackTuples) {
   PredicateDecl decl = MakeDecl(2, false);
   Relation r(&decl);
-  EXPECT_EQ(r.SupportCount(T({1, 2})), 0u);  // absent
-  r.Insert(T({1, 2}));
-  EXPECT_EQ(r.SupportCount(T({1, 2})), 0u);  // present, uncounted
-  EXPECT_EQ(r.AddSupport(T({1, 2})), 1u);
-  EXPECT_EQ(r.AddSupport(T({1, 2})), 2u);
-  EXPECT_EQ(r.AddSupport(T({9, 9})), 0u);  // absent: no-op
-  r.SetSupport(T({1, 2}), 7u);
-  EXPECT_EQ(r.SupportCount(T({1, 2})), 7u);
+  EXPECT_FALSE(r.Find(T({1, 2})).has_value());  // absent
+  RowRef row;
+  ASSERT_EQ(r.Insert(T({1, 2}), &row), InsertOutcome::kInserted);
+  EXPECT_EQ(r.state(row), RowState{});  // present, uncounted, not base
+  EXPECT_EQ(AddSupport(r, T({1, 2})), 1u);
+  EXPECT_EQ(AddSupport(r, T({1, 2})), 2u);
+  EXPECT_EQ(AddSupport(r, T({9, 9})), 0u);  // absent: no-op
+  r.set_state(row, {.support = 7, .base = 1});
+  EXPECT_EQ(StateOf(r, T({1, 2})), (RowState{.support = 7, .base = 1}));
+  // A duplicate insert reports the existing row and leaves its state.
+  RowRef again;
+  EXPECT_EQ(r.Insert(T({1, 2}), &again), InsertOutcome::kDuplicate);
+  EXPECT_EQ(r.state(again), (RowState{.support = 7, .base = 1}));
   r.Erase(T({1, 2}));
-  EXPECT_EQ(r.SupportCount(T({1, 2})), 0u);
+  EXPECT_FALSE(r.Find(T({1, 2})).has_value());
+  // A re-inserted row starts from a clear state.
+  ASSERT_EQ(r.Insert(T({1, 2}), &row), InsertOutcome::kInserted);
+  EXPECT_EQ(r.state(row), RowState{});
+}
+
+TEST(RelationTest, AddSupportFailsAtMaxWithoutTouchingBase) {
+  // Support and base flag share one 32-bit word; a full support count
+  // must not carry into the base bit.
+  PredicateDecl decl = MakeDecl(2, false);
+  Relation r(&decl);
+  RowRef row;
+  ASSERT_EQ(r.Insert(T({1, 2}), &row), InsertOutcome::kInserted);
+  for (uint32_t base : {0u, 1u}) {
+    const RowState full{.support = RowState::kMaxSupport, .base = base};
+    r.set_state(row, {.support = RowState::kMaxSupport - 1, .base = base});
+    ASSERT_TRUE(r.AddSupport(row).ok());
+    EXPECT_EQ(r.state(row), full);
+    EXPECT_FALSE(r.AddSupport(row).ok());
+    EXPECT_EQ(r.state(row), full) << "base=" << base;
+  }
 }
 
 TEST(RelationTest, SupportCountsSurviveSwapRemove) {
   // Erasing a middle row swap-removes the last one into its slot; the
   // moved row's support must move with it.
+  // The base flag rides in the same word and moves with it too.
   PredicateDecl decl = MakeDecl(2, false);
   Relation r(&decl);
+  auto want = [](int64_t i) {
+    return RowState{.support = static_cast<uint32_t>(i + 1),
+                    .base = static_cast<uint32_t>(i % 3 == 0)};
+  };
   for (int64_t i = 0; i < 8; ++i) {
-    r.Insert(T({i, i + 100}));
-    for (int64_t j = 0; j <= i; ++j) r.AddSupport(T({i, i + 100}));
+    RowRef row;
+    r.Insert(T({i, i + 100}), &row);
+    r.set_state(row, want(i));
   }
   r.Erase(T({2, 102}));
   r.Erase(T({5, 105}));
   for (int64_t i = 0; i < 8; ++i) {
     if (i == 2 || i == 5) {
-      EXPECT_EQ(r.SupportCount(T({i, i + 100})), 0u);
+      EXPECT_FALSE(r.Find(T({i, i + 100})).has_value());
     } else {
-      EXPECT_EQ(r.SupportCount(T({i, i + 100})),
-                static_cast<uint32_t>(i + 1));
+      EXPECT_EQ(StateOf(r, T({i, i + 100})), want(i)) << "i=" << i;
     }
   }
 }
@@ -208,7 +237,8 @@ std::multiset<std::string> Contents(const Relation& r) {
       Tuple t = r.MaterializeTuple(sh, slot);
       std::string line;
       for (const Value& v : t) line += v.ToString() + ",";
-      line += "#" + std::to_string(r.SupportCount(t));
+      const RowState st = r.state({sh, slot});
+      line += "#" + std::to_string(st.support) + (st.base ? "b" : "");
       out.insert(std::move(line));
     }
   }
@@ -220,7 +250,7 @@ TEST(ShardedRelationTest, ContentIdenticalAcrossShardCounts) {
   auto fill = [&](Relation* r) {
     for (int64_t i = 0; i < 200; ++i) {
       r->Insert(T({i % 11, i, i % 3}));
-      if (i % 4 == 0) r->AddSupport(T({i % 11, i, i % 3}));
+      if (i % 4 == 0) AddSupport(*r, T({i % 11, i, i % 3}));
     }
     for (int64_t i = 0; i < 200; i += 5) r->Erase(T({i % 11, i, i % 3}));
   };
@@ -266,7 +296,7 @@ TEST(ShardedRelationTest, BoundKeyProbeTouchesExactlyOneShard) {
   EXPECT_EQ(rows[0][1].AsInt(), 42);
 }
 
-TEST(ShardedRelationTest, FunctionalShardsByKeysAndReplaces) {
+TEST(ShardedRelationTest, FunctionalShardsByKeys) {
   PredicateDecl decl = MakeDecl(3, true);  // keys = columns 0..1
   Relation r(&decl, 7);
   for (int64_t i = 0; i < 60; ++i) r.Insert(T({i, i % 4, i * 10}));
@@ -278,12 +308,7 @@ TEST(ShardedRelationTest, FunctionalShardsByKeysAndReplaces) {
   }
   // FD conflicts are detected across the sharded layout.
   EXPECT_EQ(r.Insert(T({3, 3, 999})), InsertOutcome::kFdConflict);
-  // Replacement lands in the displaced row's shard (same keys, same
-  // shard) and keeps the FD index exact.
-  auto displaced = r.ReplaceFunctional(T({3, 3, 31}));
-  ASSERT_TRUE(displaced.has_value());
-  EXPECT_EQ(displaced->back().AsInt(), 30);
-  EXPECT_EQ(Lookup(r, T({3, 3}))->back().AsInt(), 31);
+  EXPECT_EQ(Lookup(r, T({3, 3}))->back().AsInt(), 30);
   EXPECT_EQ(r.size(), 60u);
 }
 
@@ -431,24 +456,30 @@ TEST(ColumnarRelationTest, ContentMatchesModelAcrossShardCounts) {
   // The reference is a plain ordered map of tuple -> support count, driven
   // through the same mutation sequence with set semantics spelled out.
   PredicateDecl decl = MakeDecl(3, false);
-  std::map<Tuple, uint32_t> model;
+  std::map<Tuple, RowState> model;
   for (int64_t i = 0; i < 200; ++i) {
-    model.emplace(Mixed(i % 31, i), 0);
-    if (i % 4 == 0) ++model[Mixed(i % 31, i)];
+    RowState& st = model[Mixed(i % 31, i)];
+    if (i % 4 == 0) ++st.support;
+    if (i % 6 == 0) st.base = 1;
   }
   for (int64_t i = 0; i < 200; i += 5) model.erase(Mixed(i % 31, i));
   std::multiset<std::string> want;
-  for (const auto& [t, support] : model) {
+  for (const auto& [t, st] : model) {
     std::string line;
     for (const Value& v : t) line += v.ToString() + ",";
-    want.insert(line + "#" + std::to_string(support));
+    want.insert(line + "#" + std::to_string(st.support) +
+                (st.base ? "b" : ""));
   }
   for (size_t shards : {size_t{1}, size_t{4}, size_t{7}}) {
     Relation r(&decl, shards);
     for (int64_t i = 0; i < 200; ++i) {
-      EXPECT_EQ(r.Insert(Mixed(i % 31, i)), InsertOutcome::kInserted);
+      RowRef row;
+      EXPECT_EQ(r.Insert(Mixed(i % 31, i), &row), InsertOutcome::kInserted);
       if (i % 4 == 0) {
-        EXPECT_EQ(r.AddSupport(Mixed(i % 31, i)), 1u);
+        EXPECT_EQ(AddSupport(r, Mixed(i % 31, i)), 1u);
+      }
+      if (i % 6 == 0) {
+        r.set_state(row, {.support = r.state(row).support, .base = 1});
       }
     }
     for (int64_t i = 0; i < 200; i += 5) {
@@ -460,13 +491,13 @@ TEST(ColumnarRelationTest, ContentMatchesModelAcrossShardCounts) {
       const Tuple t = Mixed(i % 31, i);
       auto it = model.find(t);
       EXPECT_EQ(r.Contains(t), it != model.end()) << "i=" << i;
-      EXPECT_EQ(r.SupportCount(t), it == model.end() ? 0u : it->second)
+      EXPECT_EQ(StateOf(r, t), it == model.end() ? RowState{} : it->second)
           << "i=" << i;
     }
   }
 }
 
-TEST(ColumnarRelationTest, FunctionalReplaceAndSupportSurviveSwapRemove) {
+TEST(ColumnarRelationTest, FunctionalAndSupportSurviveSwapRemove) {
   PredicateDecl decl = MakeDecl(3, true);  // keys = columns 0..1
   Relation r(&decl, 7);
   for (int64_t i = 0; i < 60; ++i) r.Insert(Mixed(i, i * 10));
@@ -477,18 +508,16 @@ TEST(ColumnarRelationTest, FunctionalReplaceAndSupportSurviveSwapRemove) {
     ASSERT_NE(row, nullptr);
     EXPECT_EQ(row->back().AsInt(), i * 10);
   }
-  auto displaced = r.ReplaceFunctional(Mixed(3, 31));
-  ASSERT_TRUE(displaced.has_value());
-  EXPECT_EQ(displaced->back().AsInt(), 30);
   EXPECT_EQ(r.size(), 60u);
   // Support moves with swap-removed rows.
   for (int64_t i = 0; i < 8; ++i) {
-    for (int64_t j = 0; j <= i; ++j) r.AddSupport(Mixed(i, i * 10));
+    for (int64_t j = 0; j <= i; ++j) AddSupport(r, Mixed(i, i * 10));
   }
   r.Erase(r.MaterializeTuple(r.ShardOf(Mixed(2, 20)), 0));  // arbitrary row
   for (int64_t i = 4; i < 8; ++i) {
     if (!r.Contains(Mixed(i, i * 10))) continue;
-    EXPECT_EQ(r.SupportCount(Mixed(i, i * 10)), static_cast<uint32_t>(i + 1));
+    EXPECT_EQ(StateOf(r, Mixed(i, i * 10)).support,
+              static_cast<uint32_t>(i + 1));
   }
 }
 

@@ -382,7 +382,8 @@ TEST(UdpClusterTest, HandoffReplayIsIdempotent) {
       ws.GetRelationIfExists(ws.catalog().Lookup("grow").value());
   ASSERT_NE(grow_rel, nullptr);
   for (const auto& t : grow_rel->AllTuples()) {
-    EXPECT_EQ(grow_rel->SupportCount(t), 1u) << "replay inflated support";
+    EXPECT_EQ(grow_rel->state(*grow_rel->Find(t)).support, 1u)
+        << "replay inflated support";
   }
   // Both copies arrived and were counted as handoff traffic.
   EXPECT_EQ((*cluster)->node(0).stats().handoff_rows_in, 2 * handoff_rows);
